@@ -1,31 +1,19 @@
 #!/usr/bin/env python3
 """Produce two-column text artifacts for plotting: heterodyne sideband spectra
 (cooled and coherently excited), averaged quadrature ring-down traces, and the
-shift histogram of a small null campaign."""
+shift histogram of a small null campaign. The operating point is read from
+configs/null_campaign.json; the campaign runs 2 s series at the given seed."""
 
 import argparse
-import math
+from dataclasses import replace
 from pathlib import Path
 
-from gupsim.detection import (
-    DetectionConfig,
-    average_spectra,
-    fit_lorentzian_pair,
-    synthesize_bhd,
-    welch_psd,
-)
-from gupsim.dynamics import DeformationParams, MechanicalMode
-from gupsim.optomech import CooledState, OpticalCavity
-from gupsim.protocol import (
-    CampaignConfig,
-    ProtocolSchedule,
-    analyze_dataset,
-    run_campaign,
-    summarize_campaign,
-)
-from gupsim.storage import save_histogram, save_spectrum
+from gupsim.detection import average_spectra, fit_lorentzian_pair, synthesize_bhd, welch_psd
+from gupsim.protocol import analyze_dataset, run_campaign, summarize_campaign
+from gupsim.storage import load_config, save_histogram, save_spectrum
 
-TWO_PI = 2 * math.pi
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "null_campaign.json"
+CAMPAIGN_SERIES_S = 2.0
 
 
 def main():
@@ -38,19 +26,14 @@ def main():
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    mode = MechanicalMode(omega_m=TWO_PI * 525800.0,
-                          gamma_m=TWO_PI * 525800.0 / 6.4e6,
-                          mass=1e-10, T_bath=9.0)
-    cavity = OpticalCavity()
-    det = DetectionConfig()
+    cfg = replace(load_config(CONFIG), seed=args.seed)
+    det = cfg.detection
 
     for name, n_bar, alpha_sq in (("cooled", 5.0, 0.0), ("excited", 6.6, 35.0)):
-        state = CooledState(n_bar=n_bar, gamma_eff=TWO_PI * 6000.0,
-                            omega_eff=det.omega_exc,
-                            alpha=complex(math.sqrt(alpha_sq), 0.0))
+        state = replace(cfg, n_bar=n_bar, alpha_sq=alpha_sq).operating_state
         spectra = []
         for k in range(args.seconds):
-            ts = synthesize_bhd(state, mode, cavity, det, 1.0, [args.seed, k])
+            ts = synthesize_bhd(state, cfg.mode, cfg.cavity, det, 1.0, [args.seed, k])
             spectra.append(welch_psd(ts, segment_length=50000))
         spec = average_spectra(spectra)
         fit = fit_lorentzian_pair(spec, det)
@@ -59,11 +42,9 @@ def main():
                               "ratio_fit": fit.corrected_ratio})
         print(f"{name}: n_bar = {fit.occupancy:.2f}, R = {fit.corrected_ratio:.3f}")
 
-    cfg = CampaignConfig(
-        mode=mode, cavity=cavity, deformation=DeformationParams(0.0),
-        detection=det, schedule=ProtocolSchedule.from_series(2.0),
-        seed=args.seed, n_bar=5.0, gamma_eff=TWO_PI * 6000.0, alpha_sq=1200.0)
-    datasets = run_campaign(cfg, 2)
+    schedule = replace(cfg.schedule,
+                       cycles_per_series=round(CAMPAIGN_SERIES_S / cfg.schedule.cycle))
+    datasets = run_campaign(replace(cfg, schedule=schedule), 2)
     rec = datasets[0].grouped_records(10)[0]
     t = rec.times
     for quad, samples in (("x", rec.x_quad.samples), ("y", rec.y_quad.samples)):

@@ -4,27 +4,27 @@
 A null campaign calibrates the shift-estimate scatter at the operating point;
 beta0 is then chosen so the pipeline's expected measured shift equals a
 requested multiple of that scatter, and an injected campaign must detect it.
+The operating point is read from configs/null_campaign.json; the flags
+override the seed, the series length and the coherent excitation.
 """
 
 import argparse
 import math
 from dataclasses import replace
+from pathlib import Path
 
-from gupsim.detection import DetectionConfig
-from gupsim.dynamics import DeformationParams, MechanicalMode
+from gupsim.dynamics import TWO_PI, DeformationParams
 from gupsim.estimation import beta_bound, fit_ringdown, fit_transient_shift
-from gupsim.optomech import OpticalCavity
 from gupsim.protocol import (
-    CampaignConfig,
-    ProtocolSchedule,
     analyze_dataset,
     predicted_shift_at_switchoff,
     run_campaign,
     run_cycle,
     summarize_campaign,
 )
+from gupsim.storage import load_config
 
-TWO_PI = 2 * math.pi
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "null_campaign.json"
 
 
 def beta0_for_shift(cfg, delta_f_hz):
@@ -57,15 +57,10 @@ def main():
     ap.add_argument("--alpha-sq", type=float, default=2e4)
     args = ap.parse_args()
 
-    mode = MechanicalMode(omega_m=TWO_PI * 525800.0,
-                          gamma_m=TWO_PI * 525800.0 / 6.4e6,
-                          mass=1e-10, T_bath=9.0)
-    cfg = CampaignConfig(
-        mode=mode, cavity=OpticalCavity(), deformation=DeformationParams(0.0),
-        detection=DetectionConfig(),
-        schedule=ProtocolSchedule.from_series(args.series_duration),
-        seed=args.seed, n_bar=5.0, gamma_eff=TWO_PI * 6000.0,
-        alpha_sq=args.alpha_sq)
+    cfg = load_config(CONFIG)
+    schedule = replace(cfg.schedule,
+                       cycles_per_series=round(args.series_duration / cfg.schedule.cycle))
+    cfg = replace(cfg, schedule=schedule, seed=args.seed, alpha_sq=args.alpha_sq)
 
     print("calibration campaign (beta0 = 0)...")
     null = summarize_campaign([analyze_dataset(ds) for ds in run_campaign(cfg, 2)])
@@ -88,7 +83,7 @@ def main():
     se = math.hypot(inj.stats_x.standard_error, null.stats_x.standard_error)
     print(f"  measured shift difference: {diff:+.1f} Hz = {diff / se:+.1f} sigma")
 
-    bound = beta_bound(null.stats_x, cfg.operating_state, mode, alpha_sq=cfg.alpha_sq)
+    bound = beta_bound(null.stats_x, cfg.operating_state, cfg.mode, alpha_sq=cfg.alpha_sq)
     verdict = "excludes" if bound.beta0_limit < d_inj.beta0 else "DOES NOT exclude"
     print(f"  null-campaign bound beta0 < {bound.beta0_limit:.3e} "
           f"-> {verdict} the injected value")

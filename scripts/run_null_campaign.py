@@ -3,27 +3,21 @@
 
 Runs the full cycle synthesis + ring-down + early-window shift analysis and
 reports whether the per-quadrature mean shifts are compatible with zero,
-together with the implied upper limit on the deformation parameter.
+together with the implied upper limit on the deformation parameter. The
+operating point is read from configs/null_campaign.json; the flags override
+the seed, the series length and the coherent excitation.
 """
 
 import argparse
 import json
-import math
+from dataclasses import replace
 from pathlib import Path
 
-from gupsim.detection import DetectionConfig
-from gupsim.dynamics import DeformationParams, MechanicalMode
 from gupsim.estimation import beta_bound
-from gupsim.optomech import OpticalCavity
-from gupsim.protocol import (
-    CampaignConfig,
-    ProtocolSchedule,
-    analyze_dataset,
-    run_campaign,
-    summarize_campaign,
-)
+from gupsim.protocol import analyze_dataset, run_campaign, summarize_campaign
+from gupsim.storage import load_config
 
-TWO_PI = 2 * math.pi
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "null_campaign.json"
 
 
 def main():
@@ -35,15 +29,10 @@ def main():
     ap.add_argument("--out", default="null_campaign_summary.json")
     args = ap.parse_args()
 
-    mode = MechanicalMode(omega_m=TWO_PI * 525800.0,
-                          gamma_m=TWO_PI * 525800.0 / 6.4e6,
-                          mass=1e-10, T_bath=9.0)
-    cfg = CampaignConfig(
-        mode=mode, cavity=OpticalCavity(), deformation=DeformationParams(0.0),
-        detection=DetectionConfig(),
-        schedule=ProtocolSchedule.from_series(args.series_duration),
-        seed=args.seed, n_bar=5.0, gamma_eff=TWO_PI * 6000.0,
-        alpha_sq=args.alpha_sq)
+    cfg = load_config(CONFIG)
+    schedule = replace(cfg.schedule,
+                       cycles_per_series=round(args.series_duration / cfg.schedule.cycle))
+    cfg = replace(cfg, schedule=schedule, seed=args.seed, alpha_sq=args.alpha_sq)
 
     print(f"running {args.series} series of {args.series_duration} s "
           f"({cfg.schedule.cycles_per_series} cycles each)...")
@@ -56,7 +45,7 @@ def main():
               f"std = {stats.std:.1f} Hz, n = {stats.n_samples}, "
               f"z = {stats.z_score:+.2f} "
               f"({'null-compatible' if stats.null_compatible() else 'NOT null'})")
-        bound = beta_bound(stats, cfg.operating_state, mode, alpha_sq=cfg.alpha_sq)
+        bound = beta_bound(stats, cfg.operating_state, cfg.mode, alpha_sq=cfg.alpha_sq)
         print(f"   beta0 upper limit ({bound.convention}): {bound.beta0_limit:.3e}")
         out[f"shift_{name}"] = {"mean_hz": stats.mean, "std_hz": stats.std,
                                 "n": stats.n_samples, "z": stats.z_score,

@@ -24,28 +24,30 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .detection import average_spectra, fit_lorentzian_pair, welch_psd
-from .dynamics import purity
-from .errors import GupsimError
+from .detection import average_spectra, fit_lorentzian_pair, synthesize_bhd, welch_psd
+from .dynamics import TWO_PI, purity
+from .errors import GupsimError, SegmentTooLong
 from .estimation import (
     AMPLITUDE_CONVENTION,
     ShiftStatistics,
     beta_bound,
     width_vs_shift_scan,
 )
-from .optomech import spring_damping_slope
+from .optomech import CooledState, operating_report, spring_damping_slope
 from .protocol import analyze_dataset, run_campaign, summarize_campaign
 from .storage import (
-    config_from_dict,
     config_hash,
+    config_to_dict,
+    load_config,
     load_dataset,
     load_raw,
+    mode_from_dict,
+    save_config,
     save_dataset,
     save_histogram,
+    save_raw,
     save_spectrum,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 def _fail(kind: str, message: str, code: int = 1) -> int:
@@ -62,9 +64,7 @@ def _stats_dict(s: ShiftStatistics) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    cfg_dict = json.loads(Path(args.config).read_text())
-    cfg_dict.pop("config_hash", None)
-    cfg = config_from_dict(cfg_dict)
+    cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     out = Path(args.out)
@@ -75,21 +75,19 @@ def cmd_simulate(args) -> int:
         d = out / f"series_{ds.series_index:02d}"
         save_dataset(ds, d)
         # operating-point summary; `analyze` replaces it with the full analysis
-        from .optomech import operating_report
-        variant = cfg.series_variant(ds.series_index)
         summary = {
             "kind": "operating-point",
             "series_index": ds.series_index,
             "n_records": len(ds.records),
-            "probe_detuning_hz": ds.probe_detuning / TWO_PI,
-            "operating": operating_report(variant.operating_state),
+            "probe_detuning_hz": ds.config.cavity.probe_detuning / TWO_PI,
+            "operating": operating_report(ds.config.operating_state),
             "provenance": {k: str(v) for k, v in sorted(ds.provenance.items())},
         }
         (d / "summary.report").write_text(
             json.dumps(summary, sort_keys=True, indent=2) + "\n")
     manifest = {
         "tool_version": __version__,
-        "config_hash": config_hash(datasets[0].config_snapshot),
+        "config_hash": config_hash(config_to_dict(datasets[0].config)),
         "n_series": len(datasets),
         "series_dirs": [f"series_{ds.series_index:02d}" for ds in datasets],
     }
@@ -101,14 +99,8 @@ def cmd_simulate(args) -> int:
 
 def _simulate_stationary(cfg, out: Path, duration: float) -> int:
     """Pump-on stationary records in 1 s chunks, for sideband thermometry."""
-    from .detection import synthesize_bhd
-    from .storage import config_to_dict, save_raw
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "stationary").mkdir(exist_ok=True)
-    snapshot = config_to_dict(cfg)
-    snapshot["config_hash"] = config_hash(snapshot)
-    (out / "config.snapshot").write_text(
-        json.dumps(snapshot, sort_keys=True, indent=2) + "\n")
+    (out / "stationary").mkdir(parents=True, exist_ok=True)
+    save_config(cfg, out / "config.snapshot")
     chunk = 1.0
     n_chunks = max(int(round(duration / chunk)), 1)
     state = cfg.operating_state
@@ -130,13 +122,21 @@ def _dataset_dirs(root: Path) -> list[Path]:
     return dirs
 
 
-def cmd_analyze(args) -> int:
-    dirs = _dataset_dirs(Path(args.indir))
+def _analyze_dirs(dirs: list[Path], group_size: int | None):
+    """Analyze each series in turn; returns the analyses and the first series' config."""
     analyses = []
+    cfg = None
     for d in dirs:
         ds = load_dataset(d)
-        a = analyze_dataset(ds, group_size=args.group_size)
-        analyses.append(a)
+        cfg = cfg or ds.config
+        analyses.append(analyze_dataset(ds, group_size=group_size))
+    return analyses, cfg
+
+
+def cmd_analyze(args) -> int:
+    dirs = _dataset_dirs(Path(args.indir))
+    analyses, cfg = _analyze_dirs(dirs, args.group_size)
+    for d, a in zip(dirs, analyses):
         report = {
             "kind": "series-analysis",
             "series_index": a.series_index,
@@ -156,14 +156,14 @@ def cmd_analyze(args) -> int:
         (d / "summary.report").write_text(
             json.dumps(report, sort_keys=True, indent=2) + "\n")
     summary = summarize_campaign(analyses)
-    snapshot = load_dataset(dirs[0]).config_snapshot
+    snapshot = config_to_dict(cfg)
     campaign = {
         "tool_version": __version__,
         "n_series": len(analyses),
         "shift_x": _stats_dict(summary.stats_x),
         "shift_y": _stats_dict(summary.stats_y),
-        "operating": snapshot.get("operating", {}),
-        "mode": snapshot.get("mode", {}),
+        "operating": snapshot["operating"],
+        "mode": snapshot["mode"],
         "null_compatible_2sigma": {
             "x": summary.stats_x.null_compatible(),
             "y": summary.stats_y.null_compatible(),
@@ -179,45 +179,47 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _load_detection_for(path: Path):
-    """DetectionConfig from the dataset's config snapshot."""
-    snap = json.loads((path / "config.snapshot").read_text())
-    snap.pop("config_hash", None)
-    snap.pop("provenance", None)
-    return config_from_dict(snap).detection
+def _series_raw_paths(dirs: list[Path]) -> list[Path]:
+    return [p for d in dirs for p in sorted((d / "raw").glob("*.braw"))]
+
+
+def _average_spectrum(raw_paths: list[Path], sample_rate: float,
+                      resolution: float):
+    """Welch estimate of each raw file, averaged; one file's samples in memory at a time."""
+    seg = int(round(sample_rate / resolution))
+    spectra = []
+    for p in raw_paths:
+        ts = load_raw(p)
+        if len(ts) >= seg:
+            spectra.append(welch_psd(ts, segment_length=seg))
+        del ts
+    if not spectra:
+        raise SegmentTooLong("raw records shorter than one PSD segment")
+    return average_spectra(spectra)
 
 
 def cmd_thermometry(args) -> int:
     target = Path(args.indir)
     if target.is_file():
-        raws = [load_raw(target)]
+        raw_paths = [target]
         root = target.parent.parent
         if not (root / "config.snapshot").exists():
             return _fail("NoConfig", f"cannot locate config.snapshot near {target}")
-        det = _load_detection_for(root)
+        det = load_config(root / "config.snapshot").detection
     elif (target / "stationary").is_dir():
-        raws = [load_raw(p) for p in sorted((target / "stationary").glob("*.braw"))]
-        det = _load_detection_for(target)
+        raw_paths = sorted((target / "stationary").glob("*.braw"))
+        det = load_config(target / "config.snapshot").detection
         root = target
     else:
         dirs = _dataset_dirs(target)
-        raws = []
-        for d in dirs:
-            raws.extend(load_raw(p) for p in sorted((d / "raw").glob("*.braw")))
-        if not raws:
+        raw_paths = _series_raw_paths(dirs)
+        if not raw_paths:
             return _fail("NoRawData",
                          "thermometry needs raw series (simulate with store_raw "
                          "or --stationary)")
-        det = _load_detection_for(dirs[0])
+        det = load_config(dirs[0] / "config.snapshot").detection
         root = target
-    seg = int(round(det.sample_rate / args.resolution))
-    spectra = []
-    for ts in raws:
-        if len(ts) >= seg:
-            spectra.append(welch_psd(ts, segment_length=seg))
-    if not spectra:
-        return _fail("SegmentTooLong", "raw records shorter than one PSD segment")
-    spec = average_spectra(spectra)
+    spec = _average_spectrum(raw_paths, det.sample_rate, args.resolution)
     fit = fit_lorentzian_pair(spec, det)
     report = {
         "n_averages": spec.n_averages,
@@ -243,15 +245,9 @@ def cmd_thermometry(args) -> int:
 
 
 def cmd_shift_scan(args) -> int:
-    dirs = _dataset_dirs(Path(args.indir))
-    analyses = [analyze_dataset(load_dataset(d), group_size=args.group_size)
-                for d in dirs]
+    analyses, cfg = _analyze_dirs(_dataset_dirs(Path(args.indir)), args.group_size)
     fits = [f for a in analyses for f in a.ringdown_fits]
     scan = width_vs_shift_scan(fits)
-    snap = json.loads((dirs[0] / "config.snapshot").read_text())
-    snap.pop("config_hash", None)
-    snap.pop("provenance", None)
-    cfg = config_from_dict(snap)
     theory = spring_damping_slope(cfg.cavity, cfg.mode)
     table = Path(args.indir) / "shift_scan.dat"
     lines = ["# columns: f_m_hz width_hz width_err_hz"]
@@ -286,12 +282,7 @@ def cmd_bound(args) -> int:
                             n_samples=s["n"], histogram=(counts, edges),
                             quadrature=quad.upper())
     op = summary["operating"]
-    md = summary["mode"]
-    from .dynamics import MechanicalMode
-    from .optomech import CooledState
-    mode = MechanicalMode(omega_m=TWO_PI * md["frequency_hz"],
-                          gamma_m=TWO_PI * md["damping_hz"],
-                          mass=md["mass_kg"], T_bath=md["bath_temperature_k"])
+    mode = mode_from_dict(summary["mode"])
     operating = CooledState(n_bar=op["n_bar"], gamma_eff=TWO_PI * op["gamma_eff_hz"],
                             omega_eff=mode.omega_m,
                             alpha=complex(math.sqrt(op["alpha_sq"]), 0.0))
@@ -310,21 +301,15 @@ def cmd_emit_plot_data(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     if args.what == "spectra":
         dirs = _dataset_dirs(root)
-        det = _load_detection_for(dirs[0])
-        raws = []
-        for d in dirs:
-            raws.extend(load_raw(p) for p in sorted((d / "raw").glob("*.braw")))
-        if not raws:
+        raw_paths = _series_raw_paths(dirs)
+        if not raw_paths:
             return _fail("NoRawData", "spectra need raw series (store_raw)")
-        seg = int(round(det.sample_rate / args.resolution))
-        spectra = [welch_psd(ts, segment_length=seg) for ts in raws if len(ts) >= seg]
-        spec = average_spectra(spectra)
+        det = load_config(dirs[0] / "config.snapshot").detection
+        spec = _average_spectrum(raw_paths, det.sample_rate, args.resolution)
         save_spectrum(spec, outdir / "heterodyne_spectrum.dat")
         print(f"wrote {outdir / 'heterodyne_spectrum.dat'}")
     elif args.what == "histogram":
-        dirs = _dataset_dirs(root)
-        analyses = [analyze_dataset(load_dataset(d), group_size=args.group_size)
-                    for d in dirs]
+        analyses, _ = _analyze_dirs(_dataset_dirs(root), args.group_size)
         summary = summarize_campaign(analyses)
         for name, stats in (("x", summary.stats_x), ("y", summary.stats_y)):
             counts, edges = stats.histogram

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import signal as sig
 
-from .dynamics import MechanicalMode
+from .dynamics import TWO_PI, MechanicalMode
 from .errors import (
     DurationTooShort,
     FilterUnstable,
@@ -30,7 +30,6 @@ from .errors import (
 from .leastsq import damped_gauss_newton
 from .optomech import CooledState, OpticalCavity, occupancy_from_ratio
 
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -448,7 +447,7 @@ def fit_lorentzian_pair(spec: SpectrumEstimate, det: DetectionConfig,
             denom = d * d + hw * hw
             L = (a / math.pi) * hw / denom
             J[:, 3 * k + 0] = 2.0 * L * d / denom
-            J[:, 3 * k + 1] = (a / (2.0 * math.pi)) * (d * d - hw * hw) / denom ** 2
+            J[:, 3 * k + 1] = (a / TWO_PI) * (d * d - hw * hw) / denom ** 2
             J[:, 3 * k + 2] = (1.0 / math.pi) * hw / denom
         J[:, 6] = in_stokes.astype(float)
         J[:, 7] = (~in_stokes).astype(float)

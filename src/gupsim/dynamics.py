@@ -20,6 +20,8 @@ import numpy as np
 
 from .errors import InsufficientData, NegativeOccupancy, NonFinite, StepTooLarge
 
+TWO_PI = 2.0 * math.pi
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -89,7 +91,7 @@ class MechanicalMode:
 
     @property
     def period(self) -> float:
-        return 2.0 * math.pi / self.omega_m
+        return TWO_PI / self.omega_m
 
     def thermal_occupancy(self, const: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
         """Bose occupation of the bath at the mode frequency."""
@@ -200,7 +202,7 @@ def integrate_trajectory(s0: PhaseState, mode: MechanicalMode, d: DeformationPar
         raise ValueError("n_steps must be >= 1")
     if store_every < 1:
         raise ValueError("store_every must be >= 1")
-    dt_max = 2.0 * math.pi / (50.0 * mode.omega_m)
+    dt_max = TWO_PI / (50.0 * mode.omega_m)
     if dt > dt_max:
         raise StepTooLarge(f"dt={dt:.3e} s exceeds resolution guard {dt_max:.3e} s")
 
@@ -313,7 +315,7 @@ def measure_period_zero_crossings(traj: Trajectory, min_crossings: int = 8) -> f
 
 def _fit_tone(t: np.ndarray, y: np.ndarray, f: float) -> float:
     """Least-squares amplitude of a tone at frequency f (Hz) in y(t)."""
-    w = 2.0 * math.pi * f
+    w = TWO_PI * f
     basis = np.column_stack([np.cos(w * t), np.sin(w * t), np.ones_like(t)])
     coef, *_ = np.linalg.lstsq(basis, y, rcond=None)
     return float(math.hypot(coef[0], coef[1]))
@@ -335,7 +337,7 @@ def third_harmonic_fraction(traj: Trajectory, min_periods: int = 32) -> float:
             f"trajectory spans {span / period:.1f} periods, need >= {min_periods}")
     f0 = 1.0 / period
     t = traj.t - traj.t[0]
-    w0 = 2.0 * math.pi * f0
+    w0 = TWO_PI * f0
     basis = np.column_stack([np.cos(w0 * t), np.sin(w0 * t), np.ones_like(t)])
     coef, *_ = np.linalg.lstsq(basis, traj.x, rcond=None)
     fundamental = float(math.hypot(coef[0], coef[1]))

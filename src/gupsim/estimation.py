@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import QuadratureRecord
-from .dynamics import DEFAULT_CONSTANTS, MechanicalMode, PhysicalConstants
+from .dynamics import DEFAULT_CONSTANTS, TWO_PI, MechanicalMode, PhysicalConstants
 from .errors import (
     BaseFitInvalid,
     DegenerateSpan,
@@ -36,7 +36,6 @@ from .errors import (
 from .leastsq import damped_gauss_newton
 from .optomech import CooledState
 
-TWO_PI = 2.0 * math.pi
 DEFAULT_BASE_WINDOW = (1e-4, 1e-3)      # s, late fit window
 DEFAULT_EARLY_WINDOW = (0.0, 50e-6)     # s, high-purity window
 
@@ -219,7 +218,7 @@ def _linear_amplitudes(t, x_data, y_data, rate, f_m, f_lower, f_upper):
     AB = math.hypot(a2, b2)
     B = AB / A if A > 0 else 0.0
     dphi = math.atan2(b2, a2) - phi
-    dphi = (dphi + math.pi) % (2 * math.pi) - math.pi
+    dphi = (dphi + math.pi) % TWO_PI - math.pi
     return A, phi, B, dphi
 
 
@@ -288,8 +287,8 @@ def fit_ringdown(rec: QuadratureRecord, window: tuple[float, float] = DEFAULT_BA
         A, phi = -A, phi + math.pi
     if B < 0:
         B, dphi = -B, dphi + math.pi
-    phi = (phi + math.pi) % (2 * math.pi) - math.pi
-    dphi = (dphi + math.pi) % (2 * math.pi) - math.pi
+    phi = (phi + math.pi) % TWO_PI - math.pi
+    dphi = (dphi + math.pi) % TWO_PI - math.pi
     return RingdownFit(A=float(A), tau=float(tau), f_m=float(f_m), phi=float(phi),
                        B=float(B), delta_phi=float(dphi), covariance=cov,
                        window=window, f_lower=f_lower, f_upper=f_upper,

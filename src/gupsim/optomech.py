@@ -9,11 +9,10 @@ rather than derived from a full quantum model.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
-from .dynamics import DEFAULT_CONSTANTS, MechanicalMode, PhysicalConstants, purity
+from .dynamics import DEFAULT_CONSTANTS, TWO_PI, MechanicalMode, PhysicalConstants, purity
 from .errors import (
     ExcitationTooStrong,
     InvalidDamping,
@@ -33,9 +32,9 @@ MAX_EXCITATION_DB = -30.0
 class OpticalCavity:
     """Optical cavity parameters (angular units, rad/s)."""
 
-    kappa: float = 2 * math.pi * 2.1e6
+    kappa: float = TWO_PI * 2.1e6
     probe_detuning: float = 0.0
-    cool_detuning: float = -2 * math.pi * 700e3
+    cool_detuning: float = -TWO_PI * 700e3
     coupling_rate: float = 7.0e5   # effective, per beam; sets the probe spring strength
 
     def __post_init__(self):
@@ -163,13 +162,10 @@ def operating_report(state: CooledState) -> dict:
     return {
         "n_bar": state.n_bar,
         "gamma_eff_rad_s": state.gamma_eff,
-        "gamma_eff_hz": state.gamma_eff / (2 * math.pi),
+        "gamma_eff_hz": state.gamma_eff / TWO_PI,
         "omega_eff_rad_s": state.omega_eff,
-        "omega_eff_hz": state.omega_eff / (2 * math.pi),
+        "omega_eff_hz": state.omega_eff / TWO_PI,
         "alpha_sq": state.alpha_sq,
         "purity": state.purity,
     }
 
-
-def operating_report_text(state: CooledState) -> str:
-    return json.dumps(operating_report(state), indent=2, sort_keys=True)

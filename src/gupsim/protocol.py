@@ -35,7 +35,7 @@ from .detection import (
     lockin_demodulate,
     stationary_envelope,
 )
-from .dynamics import DeformationParams, MechanicalMode
+from .dynamics import TWO_PI, DeformationParams, MechanicalMode
 from .estimation import (
     DEFAULT_BASE_WINDOW,
     DEFAULT_EARLY_WINDOW,
@@ -48,7 +48,6 @@ from .estimation import (
 )
 from .optomech import CooledState, OpticalCavity, optical_damping_and_spring
 
-TWO_PI = 2.0 * math.pi
 
 PROTOCOL_1_DECAY = "protocol_1_decay"
 PROTOCOL_2_PULSED = "protocol_2_pulsed"
@@ -70,7 +69,6 @@ class ProtocolSchedule:
     pump_on: float = 0.030
     measure: float = 0.010
     cycles_per_series: int = 1250
-    series_duration: float = 50.0
     group_size: int = 10
     pre_roll: float = 0.002     # pump-on tail synthesized before switch-off
 
@@ -79,11 +77,6 @@ class ProtocolSchedule:
             raise ValueError("schedule durations must be positive")
         if self.cycles_per_series < 1 or self.group_size < 1:
             raise ValueError("cycles_per_series and group_size must be >= 1")
-        expected = self.cycles_per_series * self.cycle
-        if abs(expected - self.series_duration) > 0.5 * self.cycle:
-            raise ValueError(
-                f"series_duration {self.series_duration} s inconsistent with "
-                f"{self.cycles_per_series} cycles of {self.cycle} s")
         if self.pre_roll > self.pump_on:
             raise ValueError("pre_roll cannot exceed pump_on")
 
@@ -97,8 +90,7 @@ class ProtocolSchedule:
                     pre_roll: float = 0.002) -> "ProtocolSchedule":
         cycles = int(round(series_duration / (pump_on + measure)))
         return cls(pump_on=pump_on, measure=measure, cycles_per_series=cycles,
-                   series_duration=series_duration, group_size=group_size,
-                   pre_roll=pre_roll)
+                   group_size=group_size, pre_roll=pre_roll)
 
 
 @dataclass(frozen=True)
@@ -114,7 +106,6 @@ class CampaignConfig:
     gamma_eff: float = TWO_PI * 6000.0      # pump-on effective linewidth, rad/s
     alpha_sq: float = 35.0
     excitation_phase: float = 0.0
-    n_backaction: float = 0.3
     seed: int = 0
     scenario: str = PROTOCOL_2_PULSED
     series_probe_detunings: tuple[float, ...] | None = None    # rad/s, per series
@@ -161,14 +152,17 @@ class CampaignConfig:
 
 @dataclass
 class Dataset:
-    """One series of cycles plus the configuration snapshot that produced it."""
+    """One series of cycles plus the per-series configuration that produced it."""
 
     records: list[QuadratureRecord]
-    config_snapshot: dict
-    provenance: dict
+    config: CampaignConfig
     series_index: int = 0
-    probe_detuning: float = 0.0
     raw: list[TimeSeries] | None = None
+
+    @property
+    def provenance(self) -> dict:
+        return {"seed": self.config.seed, "series_index": self.series_index,
+                "tool_version": __version__}
 
     def grouped_records(self, group_size: int) -> list[QuadratureRecord]:
         """Average consecutive cycles in groups (coherent excitation phase)."""
@@ -255,16 +249,13 @@ def _switch_burst(rng: np.random.Generator, t: np.ndarray, amplitude: float) -> 
     return out
 
 
-def run_cycle(cfg: CampaignConfig, cycle_index: int, seed,
-              include_pump: bool = False, trim: bool = True,
-              return_raw: bool = False):
+def run_cycle(cfg: CampaignConfig, cycle_index: int, seed, return_raw: bool = False):
     """Synthesize and demodulate one experimental cycle.
 
     Returns the QuadratureRecord of the measurement segment (t = 0 at pump
-    switch-off); with return_raw=True returns (record, raw TimeSeries). With
-    include_pump=True the full pump-on segment is synthesized (for
-    stationarity checks); otherwise only a short pre-roll keeps the lock-in
-    filter state physical across the switch.
+    switch-off); with return_raw=True returns (record, raw TimeSeries). The raw
+    series starts `schedule.pre_roll` before the switch: that pump-on tail
+    keeps the lock-in filter state physical across it.
     """
     det = cfg.detection
     sched = cfg.schedule
@@ -272,8 +263,7 @@ def run_cycle(cfg: CampaignConfig, cycle_index: int, seed,
     dt = 1.0 / fs
     rng = np.random.default_rng(seed)
 
-    pre = sched.pump_on if include_pump else sched.pre_roll
-    n_pre = int(round(pre * fs))
+    n_pre = int(round(sched.pre_roll * fs))
     n_meas = int(round(sched.measure * fs))
     t = (np.arange(n_pre + n_meas) - n_pre) * dt
     t_meas = t[n_pre:]
@@ -324,9 +314,7 @@ def run_cycle(cfg: CampaignConfig, cycle_index: int, seed,
     raw = TimeSeries(t0=float(t[0]), dt=dt, samples=samples,
                      metadata={"seed": repr(seed), "cycle_index": cycle_index,
                                "kind": "bhd", "scenario": cfg.scenario})
-    rec = lockin_demodulate(raw, det, cycle_index=cycle_index)
-    if trim:
-        rec = rec.window(0.0, sched.measure)
+    rec = lockin_demodulate(raw, det, cycle_index=cycle_index).window(0.0, sched.measure)
     if return_raw:
         return rec, raw
     return rec
@@ -350,13 +338,7 @@ def run_series(cfg: CampaignConfig, series_index: int = 0) -> Dataset:
         else:
             rec = run_cycle(scfg, k, seed)
         records.append(rec)
-    from .storage import config_to_dict   # local import to avoid a cycle
-    snapshot = config_to_dict(scfg)
-    return Dataset(records=records, config_snapshot=snapshot,
-                   provenance={"seed": scfg.seed, "series_index": series_index,
-                               "tool_version": __version__},
-                   series_index=series_index,
-                   probe_detuning=scfg.cavity.probe_detuning, raw=raws)
+    return Dataset(records=records, config=scfg, series_index=series_index, raw=raws)
 
 
 def run_campaign(cfg: CampaignConfig, n_series: int) -> list[Dataset]:
@@ -386,7 +368,7 @@ def analyze_dataset(ds: Dataset, group_size: int | None = None,
                     f_lower: float = 8000.0, f_upper: float = 16000.0) -> SeriesAnalysis:
     """Group-average the cycles, fit ring-downs and early-window shifts."""
     if group_size is None:
-        group_size = int(ds.config_snapshot.get("schedule", {}).get("group_size", 10))
+        group_size = ds.config.schedule.group_size
     grouped = ds.grouped_records(group_size)
     fits = []
     sx = []
@@ -398,7 +380,7 @@ def analyze_dataset(ds: Dataset, group_size: int | None = None,
         sx.append(fx)
         sy.append(fy)
     return SeriesAnalysis(series_index=ds.series_index,
-                          probe_detuning=ds.probe_detuning,
+                          probe_detuning=ds.config.cavity.probe_detuning,
                           ringdown_fits=fits, shift_fits_x=sx, shift_fits_y=sy,
                           stats_x=aggregate_shifts(sx), stats_y=aggregate_shifts(sy),
                           n_groups=len(grouped))
@@ -409,10 +391,6 @@ class CampaignSummary:
     analyses: list[SeriesAnalysis]
     stats_x: ShiftStatistics
     stats_y: ShiftStatistics
-
-    @property
-    def all_ringdown_fits(self) -> list[RingdownFit]:
-        return [f for a in self.analyses for f in a.ringdown_fits]
 
 
 def summarize_campaign(analyses: list[SeriesAnalysis]) -> CampaignSummary:

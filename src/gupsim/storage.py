@@ -4,8 +4,12 @@ All text formats are deterministic: floats are written with repr (shortest
 round-trip form) and keys are sorted, so identical (config, seed) inputs
 produce byte-identical artifacts. SI units with unit-annotated field names.
 
+A `Dataset` carries its per-series `CampaignConfig`; `save_dataset` writes it
+as the snapshot and `load_dataset` parses it back with `config_from_dict`, the
+same parser `load_config` uses for config files.
+
 Dataset directory layout:
-    config.snapshot          canonical JSON config + hash
+    config.snapshot          canonical JSON config + hash + provenance
     records/NNNN.qrec        columnar text: t, X, Y with '# key: value' header
     raw/NNNN.braw            optional: JSON header line + float64 LE samples
     summary.report           JSON analysis summary (written by `analyze`)
@@ -15,17 +19,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
 from .detection import DetectionConfig, QuadratureRecord, SpectrumEstimate, TimeSeries
-from .dynamics import DeformationParams, MechanicalMode, Trajectory
+from .dynamics import TWO_PI, DeformationParams, MechanicalMode, Trajectory
 from .optomech import OpticalCavity
 from .protocol import CampaignConfig, Dataset, ProtocolSchedule
-
-TWO_PI = 2.0 * math.pi
 
 
 def _fmt(x) -> str:
@@ -70,13 +71,11 @@ def config_to_dict(cfg: CampaignConfig) -> dict:
             "gamma_eff_hz": cfg.gamma_eff / TWO_PI,
             "alpha_sq": cfg.alpha_sq,
             "excitation_phase_rad": cfg.excitation_phase,
-            "n_backaction": cfg.n_backaction,
         },
         "schedule": {
             "pump_on_s": cfg.schedule.pump_on,
             "measure_s": cfg.schedule.measure,
             "cycles_per_series": cfg.schedule.cycles_per_series,
-            "series_duration_s": cfg.schedule.series_duration,
             "group_size": cfg.schedule.group_size,
             "pre_roll_s": cfg.schedule.pre_roll,
         },
@@ -96,11 +95,15 @@ def config_to_dict(cfg: CampaignConfig) -> dict:
     }
 
 
-def config_from_dict(d: dict) -> CampaignConfig:
-    m = d["mode"]
-    mode = MechanicalMode(omega_m=TWO_PI * m["frequency_hz"],
+def mode_from_dict(m: dict) -> MechanicalMode:
+    return MechanicalMode(omega_m=TWO_PI * m["frequency_hz"],
                           gamma_m=TWO_PI * m["damping_hz"],
                           mass=m["mass_kg"], T_bath=m["bath_temperature_k"])
+
+
+def config_from_dict(d: dict) -> CampaignConfig:
+    """Parse the keys `config_to_dict` writes; any other key is ignored."""
+    mode = mode_from_dict(d["mode"])
     c = d["cavity"]
     cavity = OpticalCavity(kappa=TWO_PI * c["linewidth_hz"],
                            probe_detuning=TWO_PI * c["probe_detuning_hz"],
@@ -121,7 +124,6 @@ def config_from_dict(d: dict) -> CampaignConfig:
     s = d["schedule"]
     schedule = ProtocolSchedule(pump_on=s["pump_on_s"], measure=s["measure_s"],
                                 cycles_per_series=s["cycles_per_series"],
-                                series_duration=s["series_duration_s"],
                                 group_size=s["group_size"], pre_roll=s["pre_roll_s"])
     o = d["operating"]
     inj = d.get("shift_injection")
@@ -129,7 +131,7 @@ def config_from_dict(d: dict) -> CampaignConfig:
         mode=mode, cavity=cavity, deformation=deformation, detection=detection,
         schedule=schedule, n_bar=o["n_bar"], gamma_eff=TWO_PI * o["gamma_eff_hz"],
         alpha_sq=o["alpha_sq"], excitation_phase=o["excitation_phase_rad"],
-        n_backaction=o["n_backaction"], seed=d["seed"], scenario=d["scenario"],
+        seed=d["seed"], scenario=d["scenario"],
         series_probe_detunings=(
             None if d.get("series_probe_detunings_hz") is None
             else tuple(TWO_PI * x for x in d["series_probe_detunings_hz"])),
@@ -237,9 +239,9 @@ def load_raw(path: Path) -> TimeSeries:
 def save_dataset(ds: Dataset, out_dir: Path):
     out = Path(out_dir)
     (out / "records").mkdir(parents=True, exist_ok=True)
-    snapshot = dict(ds.config_snapshot)
-    snapshot["config_hash"] = config_hash(ds.config_snapshot)
-    snapshot["provenance"] = {k: _fmt(v) for k, v in sorted(ds.provenance.items())}
+    snapshot = config_to_dict(ds.config)
+    snapshot["config_hash"] = config_hash(snapshot)
+    snapshot["provenance"] = {k: _fmt(v) for k, v in ds.provenance.items()}
     (out / "config.snapshot").write_text(
         json.dumps(snapshot, sort_keys=True, indent=2) + "\n")
     for rec in ds.records:
@@ -254,17 +256,13 @@ def save_dataset(ds: Dataset, out_dir: Path):
 def load_dataset(ds_dir: Path) -> Dataset:
     ds_dir = Path(ds_dir)
     snapshot = json.loads((ds_dir / "config.snapshot").read_text())
-    provenance = snapshot.pop("provenance", {})
-    snapshot.pop("config_hash", None)
     records = [load_record(p) for p in sorted((ds_dir / "records").glob("*.qrec"))]
     raw = None
     if (ds_dir / "raw").is_dir():
         raw = [load_raw(p) for p in sorted((ds_dir / "raw").glob("*.braw"))]
-    series_index = int(provenance.get("series_index", 0))
-    det_hz = snapshot.get("cavity", {}).get("probe_detuning_hz", 0.0)
-    return Dataset(records=records, config_snapshot=snapshot,
-                   provenance=provenance, series_index=series_index,
-                   probe_detuning=TWO_PI * det_hz, raw=raw)
+    return Dataset(records=records, config=config_from_dict(snapshot),
+                   series_index=int(snapshot.get("provenance", {}).get("series_index", 0)),
+                   raw=raw)
 
 
 # --- column exports ---------------------------------------------------------------

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gupsim.cli
 from gupsim.cli import main
 from gupsim.detection import DetectionConfig, QuadratureRecord, SpectrumEstimate, TimeSeries
 from gupsim.dynamics import (
@@ -109,7 +110,7 @@ class TestRecordIO:
         assert back.raw is not None and len(back.raw) == len(ds.raw)
         np.testing.assert_array_equal(back.records[0].x_quad.samples,
                                       ds.records[0].x_quad.samples)
-        assert back.config_snapshot == ds.config_snapshot
+        assert back.config == ds.config
 
     def test_spectrum_export(self, tmp_path):
         spec = SpectrumEstimate(freqs=np.array([1.0, 2.0, 3.0]),
@@ -177,6 +178,17 @@ class TestCli:
         assert "null_compatible_2sigma" in report
         assert (out / "series_00" / "summary.report").exists()
 
+    def test_analyze_loads_each_series_once(self, campaign_dir, monkeypatch):
+        loaded = []
+
+        def counting_load(path):
+            loaded.append(Path(path).name)
+            return load_dataset(path)
+
+        monkeypatch.setattr(gupsim.cli, "load_dataset", counting_load)
+        assert main(["analyze", "--in", str(campaign_dir / "out")]) == 0
+        assert loaded == ["series_00", "series_01"]
+
     def test_shift_scan(self, campaign_dir):
         out = campaign_dir / "out"
         rc = main(["shift-scan", "--in", str(out)])
@@ -214,6 +226,19 @@ class TestCli:
         pd = out / "plot_data"
         assert (pd / "shift_histogram_x.dat").exists()
         assert (pd / "quadrature_y.dat").exists()
+
+    def test_emit_spectra(self, tmp_path, capsys):
+        save_config(small_config(store_raw=True), tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out)]) == 0
+        # 12 ms raw cycles hold one 100 Hz segment but no 50 Hz one
+        assert main(["emit-plot-data", "--what", "spectra", "--in", str(out),
+                     "--resolution", "100"]) == 0
+        assert (out / "plot_data" / "heterodyne_spectrum.dat").exists()
+        capsys.readouterr()
+        assert main(["emit-plot-data", "--what", "spectra", "--in", str(out)]) != 0
+        assert json.loads(capsys.readouterr().err)["error"] == "SegmentTooLong"
 
     def test_thermometry_stationary(self, tmp_path, capsys):
         root = tmp_path / "th"
