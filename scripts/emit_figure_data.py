@@ -10,7 +10,7 @@ from pathlib import Path
 
 from gupsim.detection import average_spectra, fit_lorentzian_pair, synthesize_bhd, welch_psd
 from gupsim.protocol import analyze_dataset, run_campaign, summarize_campaign
-from gupsim.storage import load_config, save_histogram, save_spectrum
+from gupsim.storage import load_config, save_histogram, save_quadratures, save_spectrum
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "null_campaign.json"
 CAMPAIGN_SERIES_S = 2.0
@@ -45,12 +45,7 @@ def main():
     schedule = replace(cfg.schedule,
                        cycles_per_series=round(CAMPAIGN_SERIES_S / cfg.schedule.cycle))
     datasets = run_campaign(replace(cfg, schedule=schedule), 2)
-    rec = datasets[0].grouped_records(10)[0]
-    t = rec.times
-    for quad, samples in (("x", rec.x_quad.samples), ("y", rec.y_quad.samples)):
-        lines = [f"# columns: t_s {quad}"]
-        lines += [f"{float(a)!r} {float(b)!r}" for a, b in zip(t, samples)]
-        (out / f"ringdown_{quad}.dat").write_text("\n".join(lines) + "\n")
+    save_quadratures(datasets[0].grouped_records(10)[0], out, "ringdown")
 
     summary = summarize_campaign([analyze_dataset(ds) for ds in datasets])
     for quad, stats in (("x", summary.stats_x), ("y", summary.stats_y)):

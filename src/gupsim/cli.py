@@ -45,6 +45,7 @@ from .storage import (
     save_config,
     save_dataset,
     save_histogram,
+    save_quadratures,
     save_raw,
     save_spectrum,
 )
@@ -318,16 +319,9 @@ def cmd_emit_plot_data(args) -> int:
                                    "n": stats.n_samples})
         print(f"wrote shift histograms to {outdir}")
     elif args.what == "quadratures":
-        dirs = _dataset_dirs(root)
-        ds = load_dataset(dirs[0])
-        grouped = ds.grouped_records(args.group_size or 10)
-        rec = grouped[0]
-        t = rec.times
-        for name, q in (("x", rec.x_quad.samples), ("y", rec.y_quad.samples)):
-            lines = ["# columns: t_s " + name]
-            for i in range(t.size):
-                lines.append(f"{t[i]!r} {q[i]!r}")
-            (outdir / f"quadrature_{name}.dat").write_text("\n".join(lines) + "\n")
+        ds = load_dataset(_dataset_dirs(root)[0])
+        group_size = args.group_size or ds.config.schedule.group_size
+        save_quadratures(ds.grouped_records(group_size)[0], outdir, "quadrature")
         print(f"wrote quadrature traces to {outdir}")
     else:
         return _fail("UnknownTarget", f"unknown --what {args.what}")

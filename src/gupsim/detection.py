@@ -12,6 +12,7 @@ then |alpha|^2/(n_bar + 1/2), which is what the coherent-peak analysis inverts.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -196,14 +197,28 @@ def stationary_envelope(rng: np.random.Generator, n: int, dt: float, gamma: floa
     return out
 
 
-def assemble_bhd(t: np.ndarray, env_stokes: np.ndarray, env_antistokes: np.ndarray,
-                 f_stokes: float, f_antistokes: float, background_psd: float,
-                 sample_rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Real detected signal from the two sideband envelopes plus white shot noise."""
-    s = (env_antistokes * np.exp(1j * TWO_PI * f_antistokes * t)).real
-    s += (env_stokes * np.exp(1j * TWO_PI * f_stokes * t)).real
+def carrier(freq_hz: float, t: np.ndarray) -> np.ndarray:
+    """Complex carrier exp(i 2 pi f t) on the time base t."""
+    c = 1j * TWO_PI * freq_hz * t
+    return np.exp(c, out=c)
+
+
+def assemble_bhd(env_stokes: np.ndarray, env_antistokes: np.ndarray,
+                 carrier_stokes: np.ndarray, carrier_antistokes: np.ndarray,
+                 background_psd: float, sample_rate: float,
+                 rng: np.random.Generator) -> np.ndarray:
+    """Real detected signal from the two sideband envelopes on their carriers plus white shot noise.
+
+    The envelopes are multiplied by their carriers in place, so no further
+    full-length complex buffer is allocated; the result is a view of the
+    anti-Stokes buffer.
+    """
+    env_antistokes *= carrier_antistokes
+    env_stokes *= carrier_stokes
+    s = env_antistokes.real
+    s += env_stokes.real
     if background_psd > 0:
-        s += rng.standard_normal(t.size) * math.sqrt(background_psd * sample_rate / 2.0)
+        s += rng.standard_normal(s.size) * math.sqrt(background_psd * sample_rate / 2.0)
     return s
 
 
@@ -227,12 +242,16 @@ def synthesize_bhd(state: CooledState, mode: MechanicalMode, cavity: OpticalCavi
     rng = np.random.default_rng(seed)
     n = int(round(duration * fs))
     dt = 1.0 / fs
-    t = dt * np.arange(n)
     env_s = stationary_envelope(rng, n, dt, state.gamma_eff, state.n_bar + 1.0)
     env_as = stationary_envelope(rng, n, dt, state.gamma_eff, state.n_bar)
-    env_s = env_s + state.alpha
-    env_as = env_as + state.alpha
-    samples = assemble_bhd(t, env_s, env_as, f_s, f_as, det.background_psd, fs, rng)
+    env_s += state.alpha
+    env_as += state.alpha
+    # made here, one record at a time: at 2.5 MHz a cached pair of carriers
+    # would hold 80 MB per simulated second
+    t = dt * np.arange(n)
+    c_s, c_as = carrier(f_s, t), carrier(f_as, t)
+    del t
+    samples = assemble_bhd(env_s, env_as, c_s, c_as, det.background_psd, fs, rng)
     return TimeSeries(t0=0.0, dt=dt, samples=samples,
                       metadata={"seed": repr(seed), "n_bar": state.n_bar,
                                 "gamma_eff": state.gamma_eff,
@@ -241,15 +260,26 @@ def synthesize_bhd(state: CooledState, mode: MechanicalMode, cavity: OpticalCavi
 
 # --- demodulation ------------------------------------------------------------
 
-def lockin_sos(det: DetectionConfig):
-    """Low-pass section design for the lock-in output filter."""
+@functools.lru_cache(maxsize=8)
+def _lockin_design(det: DetectionConfig) -> np.ndarray:
     fs = det.sample_rate
     if det.lockin_filter_order < 1 or not (0.0 < det.lockin_bandwidth < fs / 2.0):
         raise FilterUnstable(
             f"order={det.lockin_filter_order}, bandwidth={det.lockin_bandwidth} Hz "
             f"is degenerate for fs={fs} Hz")
-    return sig.butter(det.lockin_filter_order, det.lockin_bandwidth, "low",
-                      fs=fs, output="sos")
+    sos = sig.butter(det.lockin_filter_order, det.lockin_bandwidth, "low",
+                     fs=fs, output="sos")
+    sos.flags.writeable = False
+    return sos
+
+
+def lockin_sos(det: DetectionConfig) -> np.ndarray:
+    """Low-pass section design for the lock-in output filter.
+
+    The Butterworth design is made once per DetectionConfig; each call gets a
+    writable copy, since scipy's sosfilt refuses a read-only array.
+    """
+    return _lockin_design(det).copy()
 
 
 def lockin_filter_response(det: DetectionConfig, freqs_hz) -> np.ndarray:
@@ -258,6 +288,17 @@ def lockin_filter_response(det: DetectionConfig, freqs_hz) -> np.ndarray:
     w = 2.0 * np.pi * np.asarray(freqs_hz, dtype=float) / det.sample_rate
     _, h = sig.sosfreqz(sos, worN=w)
     return h
+
+
+@functools.lru_cache(maxsize=4)
+def _lockin_reference(omega_ref: float, t0: float, dt: float,
+                      n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cos and sin of omega_ref * t on the time base of TimeSeries.times."""
+    ref = omega_ref * (t0 + dt * np.arange(n))
+    out = (np.cos(ref), np.sin(ref))
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def lockin_demodulate(ts: TimeSeries, det: DetectionConfig,
@@ -274,10 +315,10 @@ def lockin_demodulate(ts: TimeSeries, det: DetectionConfig,
         raise FilterUnstable(
             f"lockin reference {det.lockin_ref:.3e} rad/s outside (0, Nyquist)")
     sos = lockin_sos(det)
-    t = ts.times
-    ref = det.lockin_ref * t
-    x = sig.sosfilt(sos, 2.0 * ts.samples * np.cos(ref))
-    y = sig.sosfilt(sos, 2.0 * ts.samples * np.sin(ref))
+    cos_ref, sin_ref = _lockin_reference(det.lockin_ref, ts.t0, ts.dt, len(ts))
+    two_s = 2.0 * ts.samples
+    x = sig.sosfilt(sos, two_s * cos_ref)
+    y = sig.sosfilt(sos, two_s * sin_ref)
     r = det.decimation
     x = x[::r]
     y = y[::r]

@@ -91,3 +91,9 @@ class TooFewSamples(GupsimError):
 
 class UncalibratedCampaign(GupsimError):
     """Deformation bound requested without a calibrated amplitude."""
+
+
+# --- storage ----------------------------------------------------------------
+
+class CorruptRecord(GupsimError):
+    """A stored record is truncated, malformed or from another configuration."""

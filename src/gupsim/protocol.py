@@ -18,6 +18,7 @@ set by the excitation strength, which may be varied between series).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -31,6 +32,7 @@ from .detection import (
     TimeSeries,
     assemble_bhd,
     average_records,
+    carrier,
     complex_ou_segment,
     lockin_demodulate,
     stationary_envelope,
@@ -236,53 +238,44 @@ def predicted_shift_at_switchoff(cfg: CampaignConfig) -> float:
     return float(_gup_shift_curve(cfg, np.zeros(1), gamma_meas, n0)[0])
 
 
-def _switch_burst(rng: np.random.Generator, t: np.ndarray, amplitude: float) -> np.ndarray:
-    """Decaying out-of-band tones launched by the radiation-pressure step at t=0."""
-    out = np.zeros_like(t)
-    live = t >= 0.0
-    tl = t[live]
-    envelope = (1.0 - np.exp(-tl / SWITCH_BURST_ONSET_S)) * np.exp(
-        -tl / SWITCH_BURST_DECAY_S)
-    for f in SWITCH_BURST_MODES_HZ:
-        phase = rng.uniform(0.0, TWO_PI)
-        out[live] += amplitude * envelope * np.cos(TWO_PI * f * tl + phase)
-    return out
+@dataclass(frozen=True, eq=False)
+class _CycleTemplate:
+    """Everything in a cycle that depends on the configuration alone.
 
-
-def run_cycle(cfg: CampaignConfig, cycle_index: int, seed, return_raw: bool = False):
-    """Synthesize and demodulate one experimental cycle.
-
-    Returns the QuadratureRecord of the measurement segment (t = 0 at pump
-    switch-off); with return_raw=True returns (record, raw TimeSeries). The raw
-    series starts `schedule.pre_roll` before the switch: that pump-on tail
-    keeps the lock-in filter state physical across it.
+    The arrays are read-only: one template is shared by every cycle made from
+    the same CampaignConfig.
     """
+
+    n_pre: int
+    dt: float
+    t0: float
+    gamma_meas: float
+    drive_s: float
+    drive_as: float
+    alpha: np.ndarray            # coherent amplitude, constant then ringing down
+    rot: np.ndarray              # phase rotation: probe spring, chirp, injection
+    carrier_s: np.ndarray
+    carrier_as: np.ndarray
+    burst_envelope: np.ndarray   # amplitude * onset * decay, measurement segment
+    burst_args: tuple[np.ndarray, ...]   # 2 pi f t of each burst mode
+
+
+# a campaign runs its series one after another, one per-series config each,
+# so a few entries suffice; each holds ~3 MB at the default sampling
+@functools.lru_cache(maxsize=4)
+def _cycle_template(cfg: CampaignConfig) -> _CycleTemplate:
     det = cfg.detection
     sched = cfg.schedule
     fs = det.sample_rate
     dt = 1.0 / fs
-    rng = np.random.default_rng(seed)
-
     n_pre = int(round(sched.pre_roll * fs))
     n_meas = int(round(sched.measure * fs))
     t = (np.arange(n_pre + n_meas) - n_pre) * dt
     t_meas = t[n_pre:]
-
-    # pump-on: stationary cooled state with constant coherent drive
-    alpha0 = cmath.rect(math.sqrt(cfg.alpha_sq), cfg.excitation_phase)
-    u_s = np.empty(n_pre + n_meas, dtype=complex)
-    u_as = np.empty(n_pre + n_meas, dtype=complex)
-    u_s[:n_pre] = stationary_envelope(rng, n_pre, dt, cfg.gamma_eff, cfg.n_bar + 1.0)
-    u_as[:n_pre] = stationary_envelope(rng, n_pre, dt, cfg.gamma_eff, cfg.n_bar)
-
-    # measurement: envelopes continue through the switch
     gamma_meas, d_omega_probe, drive_s, drive_as = _measurement_rates(cfg)
-    u_s[n_pre:] = complex_ou_segment(rng, n_meas, dt, gamma_meas, drive_s,
-                                     u_s[n_pre - 1])
-    u_as[n_pre:] = complex_ou_segment(rng, n_meas, dt, gamma_meas, drive_as,
-                                      u_as[n_pre - 1])
 
     # coherent amplitude: constant while driven, rings down after the switch
+    alpha0 = cmath.rect(math.sqrt(cfg.alpha_sq), cfg.excitation_phase)
     alpha = np.empty(n_pre + n_meas, dtype=complex)
     alpha[:n_pre] = alpha0
     alpha[n_pre:] = alpha0 * np.exp(-0.5 * gamma_meas * t_meas)
@@ -300,21 +293,74 @@ def run_cycle(cfg: CampaignConfig, cycle_index: int, seed, return_raw: bool = Fa
     phase = np.zeros(n_pre + n_meas)
     phase[n_pre:] = TWO_PI * np.concatenate(
         [[0.0], np.cumsum(0.5 * (inst_f[1:] + inst_f[:-1]) * dt)])
-    rot = np.exp(1j * phase)
 
-    env_s = (alpha + u_s) * rot
-    env_as = (alpha + u_as) * rot
-    f_stokes = (det.omega_exc + det.delta_lo) / TWO_PI
-    f_antistokes = (det.omega_exc - det.delta_lo) / TWO_PI
-    samples = assemble_bhd(t, env_s, env_as, f_stokes, f_antistokes,
-                           det.background_psd, fs, rng)
+    # out-of-band drum modes launched by the radiation-pressure step at t = 0
+    amplitude = 3.0 * math.sqrt(max(cfg.alpha_sq, 1.0))
+    envelope = (1.0 - np.exp(-t_meas / SWITCH_BURST_ONSET_S)) * np.exp(
+        -t_meas / SWITCH_BURST_DECAY_S)
+
+    tpl = _CycleTemplate(
+        n_pre=n_pre, dt=dt, t0=float(t[0]), gamma_meas=gamma_meas,
+        drive_s=drive_s, drive_as=drive_as, alpha=alpha, rot=np.exp(1j * phase),
+        carrier_s=carrier((det.omega_exc + det.delta_lo) / TWO_PI, t),
+        carrier_as=carrier((det.omega_exc - det.delta_lo) / TWO_PI, t),
+        burst_envelope=amplitude * envelope,
+        burst_args=tuple(TWO_PI * f * t_meas for f in SWITCH_BURST_MODES_HZ))
+    for a in (tpl.alpha, tpl.rot, tpl.carrier_s, tpl.carrier_as,
+              tpl.burst_envelope, *tpl.burst_args):
+        a.flags.writeable = False
+    return tpl
+
+
+def run_cycle(cfg: CampaignConfig, cycle_index: int, seed, return_raw: bool = False):
+    """Synthesize and demodulate one experimental cycle.
+
+    Returns the QuadratureRecord of the measurement segment (t = 0 at pump
+    switch-off); with return_raw=True returns (record, raw TimeSeries). The raw
+    series starts `schedule.pre_roll` before the switch: that pump-on tail
+    keeps the lock-in filter state physical across it.
+
+    What depends on the configuration alone (time base, coherent ring-down,
+    phase rotation, sideband carriers, switch-burst envelope, measurement
+    rates) is built once per CampaignConfig and cached; so are the lock-in
+    filter design and reference (see `lockin_demodulate`). A cycle makes only
+    its own random draws, in a fixed order, and the arithmetic on them. The
+    cached arrays are computed by the same expressions as a per-cycle
+    computation would use, so a record does not depend on the cache state or
+    on the order in which cycles are made.
+    """
+    det = cfg.detection
+    tpl = _cycle_template(cfg)
+    n_pre, dt = tpl.n_pre, tpl.dt
+    rng = np.random.default_rng(seed)
+
+    # pump-on: stationary cooled state; measurement: envelopes continue through
+    # the switch
+    n = tpl.alpha.size
+    u_s = np.empty(n, dtype=complex)
+    u_as = np.empty(n, dtype=complex)
+    u_s[:n_pre] = stationary_envelope(rng, n_pre, dt, cfg.gamma_eff, cfg.n_bar + 1.0)
+    u_as[:n_pre] = stationary_envelope(rng, n_pre, dt, cfg.gamma_eff, cfg.n_bar)
+    u_s[n_pre:] = complex_ou_segment(rng, n - n_pre, dt, tpl.gamma_meas, tpl.drive_s,
+                                     u_s[n_pre - 1])
+    u_as[n_pre:] = complex_ou_segment(rng, n - n_pre, dt, tpl.gamma_meas, tpl.drive_as,
+                                      u_as[n_pre - 1])
+
+    # (alpha + u) * rot, in place
+    for u in (u_s, u_as):
+        u += tpl.alpha
+        u *= tpl.rot
+    samples = assemble_bhd(u_s, u_as, tpl.carrier_s, tpl.carrier_as,
+                           det.background_psd, det.sample_rate, rng)
     if cfg.switch_burst:
-        samples = samples + _switch_burst(rng, t, 3.0 * math.sqrt(max(cfg.alpha_sq, 1.0)))
+        samples[n_pre:] += sum(tpl.burst_envelope * np.cos(arg + rng.uniform(0.0, TWO_PI))
+                               for arg in tpl.burst_args)
 
-    raw = TimeSeries(t0=float(t[0]), dt=dt, samples=samples,
+    raw = TimeSeries(t0=tpl.t0, dt=dt, samples=samples,
                      metadata={"seed": repr(seed), "cycle_index": cycle_index,
                                "kind": "bhd", "scenario": cfg.scenario})
-    rec = lockin_demodulate(raw, det, cycle_index=cycle_index).window(0.0, sched.measure)
+    rec = lockin_demodulate(raw, det, cycle_index=cycle_index).window(
+        0.0, cfg.schedule.measure)
     if return_raw:
         return rec, raw
     return rec
@@ -325,7 +371,9 @@ def run_series(cfg: CampaignConfig, series_index: int = 0) -> Dataset:
 
     Each cycle draws from its own derived seed [seed, series, cycle], so cycles
     are independent and could be generated in parallel; this implementation
-    runs them in order and appends records by cycle index.
+    runs them in order and appends records by cycle index. All cycles of the
+    series share the per-series config, so `run_cycle` builds its fixed
+    arrays once for the series and each cycle adds only its random draws.
     """
     scfg = cfg.series_variant(series_index)
     records = []

@@ -25,6 +25,7 @@ import numpy as np
 
 from .detection import DetectionConfig, QuadratureRecord, SpectrumEstimate, TimeSeries
 from .dynamics import TWO_PI, DeformationParams, MechanicalMode, Trajectory
+from .errors import CorruptRecord
 from .optomech import OpticalCavity
 from .protocol import CampaignConfig, Dataset, ProtocolSchedule
 
@@ -182,37 +183,46 @@ def save_record(rec: QuadratureRecord, path: Path, extra_header: dict | None = N
     for k, v in header.items():
         lines.append(f"# {k}: {_fmt(v)}")
     lines.append("# columns: t_s x_quad y_quad")
-    t = rec.times
-    x = rec.x_quad.samples
-    y = rec.y_quad.samples
-    for i in range(t.size):
-        lines.append(f"{float(t[i])!r} {float(x[i])!r} {float(y[i])!r}")
+    lines.extend(map("{!r} {!r} {!r}".format, rec.times.tolist(),
+                     rec.x_quad.samples.tolist(), rec.y_quad.samples.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_record(path: Path) -> QuadratureRecord:
+    """Parse a `save_record` file; CorruptRecord if it is cut short or malformed."""
+    text = Path(path).read_text()
     meta = {}
-    t = []
-    x = []
-    y = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if ":" in body:
-                k, v = body.split(":", 1)
-                meta[k.strip()] = v.strip()
-            continue
-        a, b, c = line.split()
-        t.append(float(a))
-        x.append(float(b))
-        y.append(float(c))
-    t0 = float(meta.get("t0_s", t[0]))
-    dt = float(meta.get("dt_s", t[1] - t[0] if len(t) > 1 else 1.0))
+    pos = 0
+    while text.startswith("#", pos):
+        end = text.find("\n", pos)
+        if end < 0:
+            raise CorruptRecord(f"{path}: header not terminated")
+        body = text[pos + 1:end].strip()
+        if ":" in body:
+            k, v = body.split(":", 1)
+            meta[k.strip()] = v.strip()
+        pos = end + 1
+    try:
+        n = int(meta["n_samples"])
+        t0 = float(meta["t0_s"])
+        dt = float(meta["dt_s"])
+    except (KeyError, ValueError) as exc:
+        raise CorruptRecord(f"{path}: bad header ({exc})") from None
+    # a cut-off last number still parses, so the count and the final newline
+    # together are what show a truncated file
+    try:
+        cols = np.fromstring(text[pos:], sep=" ")
+    except ValueError:
+        raise CorruptRecord(f"{path}: rows hold text that is not a number") from None
+    if cols.size != 3 * n or not text.endswith("\n"):
+        raise CorruptRecord(f"{path}: truncated ({cols.size} values for {n} rows "
+                            f"of 3, or no final newline)")
+    rows = cols.reshape(n, 3)
     cycle = int(meta.get("cycle_index", 0))
     keep = {k: v for k, v in meta.items()
             if k not in {"format", "t0_s", "dt_s", "n_samples", "cycle_index", "columns"}}
-    return QuadratureRecord(TimeSeries(t0, dt, np.array(x), keep),
-                            TimeSeries(t0, dt, np.array(y), dict(keep)),
+    return QuadratureRecord(TimeSeries(t0, dt, rows[:, 1].copy(), keep),
+                            TimeSeries(t0, dt, rows[:, 2].copy(), dict(keep)),
                             cycle_index=cycle)
 
 
@@ -254,15 +264,22 @@ def save_dataset(ds: Dataset, out_dir: Path):
 
 
 def load_dataset(ds_dir: Path) -> Dataset:
+    """Config snapshot and records of a series; raw files stay on disk (`load_raw`).
+
+    CorruptRecord if a record does not carry the snapshot's config_hash.
+    """
     ds_dir = Path(ds_dir)
     snapshot = json.loads((ds_dir / "config.snapshot").read_text())
-    records = [load_record(p) for p in sorted((ds_dir / "records").glob("*.qrec"))]
-    raw = None
-    if (ds_dir / "raw").is_dir():
-        raw = [load_raw(p) for p in sorted((ds_dir / "raw").glob("*.braw"))]
+    records = []
+    for p in sorted((ds_dir / "records").glob("*.qrec")):
+        rec = load_record(p)
+        got = rec.x_quad.metadata.get("config_hash")
+        if got != snapshot.get("config_hash"):
+            raise CorruptRecord(f"{p}: config_hash {got} differs from the "
+                                f"snapshot's {snapshot.get('config_hash')}")
+        records.append(rec)
     return Dataset(records=records, config=config_from_dict(snapshot),
-                   series_index=int(snapshot.get("provenance", {}).get("series_index", 0)),
-                   raw=raw)
+                   series_index=int(snapshot.get("provenance", {}).get("series_index", 0)))
 
 
 # --- column exports ---------------------------------------------------------------
@@ -277,6 +294,15 @@ def save_spectrum(spec: SpectrumEstimate, path: Path, header: dict | None = None
     for f, p in zip(spec.freqs, spec.psd):
         lines.append(f"{float(f)!r} {float(p)!r}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def save_quadratures(rec: QuadratureRecord, out_dir: Path, stem: str):
+    """Two-column text traces (t, X) and (t, Y) as `<stem>_x.dat` and `<stem>_y.dat`."""
+    t = rec.times.tolist()
+    for name, ts in (("x", rec.x_quad), ("y", rec.y_quad)):
+        lines = [f"# columns: t_s {name}"]
+        lines.extend(map("{!r} {!r}".format, t, ts.samples.tolist()))
+        (Path(out_dir) / f"{stem}_{name}.dat").write_text("\n".join(lines) + "\n")
 
 
 def save_trajectory(traj: Trajectory, path: Path):

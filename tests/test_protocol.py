@@ -4,7 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gupsim.detection import DetectionConfig, lockin_demodulate
+import gupsim.detection
+import gupsim.protocol
+from gupsim.detection import DetectionConfig, lockin_demodulate, lockin_sos
 from gupsim.dynamics import DeformationParams, MechanicalMode
 from gupsim.estimation import fit_ringdown, fit_transient_shift
 from gupsim.optomech import OpticalCavity, optical_damping_and_spring
@@ -253,3 +255,71 @@ class TestCampaign:
         a0 = np.max(np.abs(datasets[0].records[0].x_quad.samples))
         a1 = np.max(np.abs(datasets[1].records[0].x_quad.samples))
         assert a1 / a0 == pytest.approx(2.0, rel=0.2)
+
+
+def clear_cycle_caches():
+    gupsim.protocol._cycle_template.cache_clear()
+    gupsim.detection._lockin_design.cache_clear()
+    gupsim.detection._lockin_reference.cache_clear()
+
+
+def same_record(a, b):
+    return (a.cycle_index == b.cycle_index and a.x_quad.t0 == b.x_quad.t0
+            and np.array_equal(a.x_quad.samples, b.x_quad.samples)
+            and np.array_equal(a.y_quad.samples, b.y_quad.samples))
+
+
+class TestCycleCache:
+    """Per-config arrays are cached; records must not depend on the cache."""
+
+    def cfg(self, **kw):
+        return noisy_config(deformation=DeformationParams(1e33),
+                            shift_injection=(300.0, 2e-5), **kw)
+
+    def test_cold_and_warm_cache_agree(self):
+        cfg = self.cfg()
+        clear_cycle_caches()
+        cold, cold_raw = run_cycle(cfg, 3, [5, 0, 3], return_raw=True)
+        for k in range(3):
+            run_cycle(cfg, k, [5, 0, k])
+        warm, warm_raw = run_cycle(cfg, 3, [5, 0, 3], return_raw=True)
+        assert same_record(cold, warm)
+        assert np.array_equal(cold_raw.samples, warm_raw.samples)
+
+    def test_records_independent_of_cycle_order(self):
+        cfg = self.cfg()
+        clear_cycle_caches()
+        forward = [run_cycle(cfg, k, [5, 0, k]) for k in (0, 5)]
+        clear_cycle_caches()
+        backward = [run_cycle(cfg, k, [5, 0, k]) for k in (5, 0)]
+        assert same_record(forward[0], backward[1])
+        assert same_record(forward[1], backward[0])
+
+    def test_each_series_builds_its_own_template(self):
+        cfg = self.cfg(schedule=ProtocolSchedule.from_series(0.12),
+                       series_probe_detunings=(0.0, TWO_PI * 30e3))
+        clear_cycle_caches()
+        datasets = run_campaign(cfg, 2)
+        assert gupsim.protocol._cycle_template.cache_info().misses == 2
+        t0, t1 = (gupsim.protocol._cycle_template(ds.config) for ds in datasets)
+        assert not np.array_equal(t0.rot, t1.rot)
+        for ds in datasets:
+            clear_cycle_caches()
+            for rec in ds.records:
+                seed = cfg.cycle_seed(ds.series_index, rec.cycle_index)
+                assert same_record(rec, run_cycle(ds.config, rec.cycle_index, seed))
+
+    def test_cached_arrays_are_read_only(self):
+        cfg = self.cfg()
+        tpl = gupsim.protocol._cycle_template(cfg)
+        arrays = [tpl.alpha, tpl.rot, tpl.carrier_s, tpl.carrier_as,
+                  tpl.burst_envelope, *tpl.burst_args]
+        arrays += gupsim.detection._lockin_reference(
+            cfg.detection.lockin_ref, tpl.t0, tpl.dt, tpl.alpha.size)
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+        # sosfilt refuses a read-only filter, so each caller gets its own copy
+        sos = lockin_sos(cfg.detection)
+        sos[0, 0] = 2.0
+        assert lockin_sos(cfg.detection)[0, 0] != 2.0

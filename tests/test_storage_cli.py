@@ -8,13 +8,20 @@ import pytest
 
 import gupsim.cli
 from gupsim.cli import main
-from gupsim.detection import DetectionConfig, QuadratureRecord, SpectrumEstimate, TimeSeries
+from gupsim.detection import (
+    DetectionConfig,
+    QuadratureRecord,
+    SpectrumEstimate,
+    TimeSeries,
+    average_records,
+)
 from gupsim.dynamics import (
     DeformationParams,
     MechanicalMode,
     PhaseState,
     integrate_trajectory,
 )
+from gupsim.errors import CorruptRecord
 from gupsim.optomech import OpticalCavity
 from gupsim.protocol import CampaignConfig, ProtocolSchedule, run_series
 from gupsim.storage import (
@@ -93,6 +100,52 @@ class TestRecordIO:
         np.testing.assert_array_equal(back.y_quad.samples, y.samples)
         assert back.x_quad.dt == x.dt
 
+    def test_record_bytes_pinned(self, tmp_path):
+        x = TimeSeries(0.0, 0.5, [1.0, -2.5e-7, math.pi], {"seed": "[1, 2]"})
+        y = TimeSeries(0.0, 0.5, [0.1, 1e16, -0.0], {"seed": "[1, 2]"})
+        save_record(QuadratureRecord(x, y, cycle_index=4), tmp_path / "r.qrec",
+                    extra_header={"config_hash": "0123456789ab"})
+        assert (tmp_path / "r.qrec").read_bytes() == (
+            b"# format: qrec-1\n"
+            b"# cycle_index: 4\n"
+            b"# t0_s: 0.0\n"
+            b"# dt_s: 0.5\n"
+            b"# n_samples: 3\n"
+            b"# seed: [1, 2]\n"
+            b"# config_hash: 0123456789ab\n"
+            b"# columns: t_s x_quad y_quad\n"
+            b"0.0 1.0 0.1\n"
+            b"0.5 -2.5e-07 1e+16\n"
+            b"1.0 3.141592653589793 -0.0\n")
+
+    @pytest.mark.parametrize("damage", [
+        lambda text: text[:-5],                                  # cut mid-number
+        lambda text: text[:text.rindex("\n", 0, -1) + 1],        # last row dropped
+        lambda text: text.replace("\n0.0 ", "\n0.0 x", 1),       # junk in the first row
+    ], ids=["cut_mid_number", "row_dropped", "junk"])
+    def test_damaged_record_rejected(self, tmp_path, damage):
+        rng = np.random.default_rng(5)
+        x = TimeSeries(0.0, 3.2e-6, rng.standard_normal(16))
+        y = TimeSeries(0.0, 3.2e-6, rng.standard_normal(16))
+        path = tmp_path / "0000.qrec"
+        save_record(QuadratureRecord(x, y), path)
+        path.write_text(damage(path.read_text()))
+        with pytest.raises(CorruptRecord, match="0000.qrec"):
+            load_record(path)
+
+    def test_record_from_other_config_rejected(self, tmp_path, capsys):
+        ds = run_series(small_config(schedule=ProtocolSchedule.from_series(0.08)), 0)
+        save_dataset(ds, tmp_path / "d")
+        path = tmp_path / "d" / "records" / "0001.qrec"
+        text = path.read_text()
+        h = json.loads((tmp_path / "d" / "config.snapshot").read_text())["config_hash"]
+        path.write_text(text.replace(f"# config_hash: {h}", "# config_hash: 000000000000"))
+        with pytest.raises(CorruptRecord, match="0001.qrec"):
+            load_dataset(tmp_path / "d")
+        assert main(["analyze", "--in", str(tmp_path / "d")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CorruptRecord" and "0001.qrec" in err["message"]
+
     def test_raw_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(4)
         ts = TimeSeries(-0.002, 4e-7, rng.standard_normal(1000), {"kind": "bhd"})
@@ -107,10 +160,15 @@ class TestRecordIO:
         save_dataset(ds, tmp_path / "d")
         back = load_dataset(tmp_path / "d")
         assert len(back.records) == len(ds.records)
-        assert back.raw is not None and len(back.raw) == len(ds.raw)
         np.testing.assert_array_equal(back.records[0].x_quad.samples,
                                       ds.records[0].x_quad.samples)
         assert back.config == ds.config
+        # raw files stay on disk; readers open them by path
+        assert back.raw is None
+        raw_paths = sorted((tmp_path / "d" / "raw").glob("*.braw"))
+        assert len(raw_paths) == len(ds.raw)
+        for path, ts in zip(raw_paths, ds.raw):
+            np.testing.assert_array_equal(load_raw(path).samples, ts.samples)
 
     def test_spectrum_export(self, tmp_path):
         spec = SpectrumEstimate(freqs=np.array([1.0, 2.0, 3.0]),
@@ -226,6 +284,20 @@ class TestCli:
         pd = out / "plot_data"
         assert (pd / "shift_histogram_x.dat").exists()
         assert (pd / "quadrature_y.dat").exists()
+
+    def test_emit_quadratures_golden(self, tmp_path):
+        golden = Path(__file__).parent / "golden" / "analyze_config.json"
+        assert load_config(golden).schedule.group_size == 5
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(golden), "--out", str(out)]) == 0
+        assert main(["emit-plot-data", "--what", "quadratures", "--in", str(out)]) == 0
+        records = [load_record(p) for p in
+                   sorted((out / "series_00" / "records").glob("*.qrec"))[:5]]
+        want = average_records(records)
+        for name, ts in (("x", want.x_quad), ("y", want.y_quad)):
+            cols = np.loadtxt(out / "plot_data" / f"quadrature_{name}.dat")
+            np.testing.assert_array_equal(cols[:, 0], want.times)
+            np.testing.assert_array_equal(cols[:, 1], ts.samples)
 
     def test_emit_spectra(self, tmp_path, capsys):
         save_config(small_config(store_raw=True), tmp_path / "c.json")
