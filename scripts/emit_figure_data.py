@@ -45,7 +45,8 @@ def main():
     schedule = replace(cfg.schedule,
                        cycles_per_series=round(CAMPAIGN_SERIES_S / cfg.schedule.cycle))
     datasets = run_campaign(replace(cfg, schedule=schedule), 2)
-    save_quadratures(datasets[0].grouped_records(10)[0], out, "ringdown")
+    ringdown = datasets[0].grouped_records(cfg.schedule.group_size)[0]
+    save_quadratures(ringdown, out, "ringdown")
 
     summary = summarize_campaign([analyze_dataset(ds) for ds in datasets])
     for quad, stats in (("x", summary.stats_x), ("y", summary.stats_y)):

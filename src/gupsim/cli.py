@@ -27,12 +27,7 @@ from . import __version__
 from .detection import average_spectra, fit_lorentzian_pair, synthesize_bhd, welch_psd
 from .dynamics import TWO_PI, purity
 from .errors import GupsimError, SegmentTooLong
-from .estimation import (
-    AMPLITUDE_CONVENTION,
-    ShiftStatistics,
-    beta_bound,
-    width_vs_shift_scan,
-)
+from .estimation import ShiftStatistics, beta_bound, width_vs_shift_scan
 from .optomech import CooledState, operating_report, spring_damping_slope
 from .protocol import analyze_dataset, run_campaign, summarize_campaign
 from .storage import (
@@ -123,20 +118,20 @@ def _dataset_dirs(root: Path) -> list[Path]:
     return dirs
 
 
-def _analyze_dirs(dirs: list[Path], group_size: int | None):
+def _analyze_dirs(dirs: list[Path]):
     """Analyze each series in turn; returns the analyses and the first series' config."""
     analyses = []
     cfg = None
     for d in dirs:
         ds = load_dataset(d)
         cfg = cfg or ds.config
-        analyses.append(analyze_dataset(ds, group_size=group_size))
+        analyses.append(analyze_dataset(ds))
     return analyses, cfg
 
 
 def cmd_analyze(args) -> int:
     dirs = _dataset_dirs(Path(args.indir))
-    analyses, cfg = _analyze_dirs(dirs, args.group_size)
+    analyses, cfg = _analyze_dirs(dirs)
     for d, a in zip(dirs, analyses):
         report = {
             "kind": "series-analysis",
@@ -246,7 +241,7 @@ def cmd_thermometry(args) -> int:
 
 
 def cmd_shift_scan(args) -> int:
-    analyses, cfg = _analyze_dirs(_dataset_dirs(Path(args.indir)), args.group_size)
+    analyses, cfg = _analyze_dirs(_dataset_dirs(Path(args.indir)))
     fits = [f for a in analyses for f in a.ringdown_fits]
     scan = width_vs_shift_scan(fits)
     theory = spring_damping_slope(cfg.cavity, cfg.mode)
@@ -269,9 +264,6 @@ def cmd_shift_scan(args) -> int:
 
 def cmd_bound(args) -> int:
     summary = json.loads(Path(args.summary).read_text())
-    if args.convention != AMPLITUDE_CONVENTION:
-        return _fail("UnknownConvention",
-                     f"supported amplitude convention: {AMPLITUDE_CONVENTION!r}")
     quad = args.quadrature.lower()
     key = f"shift_{quad}"
     if key not in summary:
@@ -310,7 +302,7 @@ def cmd_emit_plot_data(args) -> int:
         save_spectrum(spec, outdir / "heterodyne_spectrum.dat")
         print(f"wrote {outdir / 'heterodyne_spectrum.dat'}")
     elif args.what == "histogram":
-        analyses, _ = _analyze_dirs(_dataset_dirs(root), args.group_size)
+        analyses, _ = _analyze_dirs(_dataset_dirs(root))
         summary = summarize_campaign(analyses)
         for name, stats in (("x", summary.stats_x), ("y", summary.stats_y)):
             counts, edges = stats.histogram
@@ -320,8 +312,8 @@ def cmd_emit_plot_data(args) -> int:
         print(f"wrote shift histograms to {outdir}")
     elif args.what == "quadratures":
         ds = load_dataset(_dataset_dirs(root)[0])
-        group_size = args.group_size or ds.config.schedule.group_size
-        save_quadratures(ds.grouped_records(group_size)[0], outdir, "quadrature")
+        save_quadratures(ds.grouped_records(ds.config.schedule.group_size)[0],
+                         outdir, "quadrature")
         print(f"wrote quadrature traces to {outdir}")
     else:
         return _fail("UnknownTarget", f"unknown --what {args.what}")
@@ -346,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("analyze", help="fit ring-downs and transient shifts")
     s.add_argument("--in", dest="indir", required=True)
     s.add_argument("--out", default=None)
-    s.add_argument("--group-size", type=int, default=None)
     s.set_defaults(func=cmd_analyze)
 
     s = sub.add_parser("thermometry", help="sideband thermometry from raw records")
@@ -357,12 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("shift-scan", help="width-vs-shift regression")
     s.add_argument("--in", dest="indir", required=True)
-    s.add_argument("--group-size", type=int, default=None)
     s.set_defaults(func=cmd_shift_scan)
 
     s = sub.add_parser("bound", help="deformation-parameter upper limit")
     s.add_argument("--summary", required=True)
-    s.add_argument("--convention", default=AMPLITUDE_CONVENTION)
     s.add_argument("--quadrature", default="x", choices=["x", "y", "X", "Y"])
     s.set_defaults(func=cmd_bound)
 
@@ -372,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--in", dest="indir", required=True)
     s.add_argument("--out", default=None)
     s.add_argument("--resolution", type=float, default=50.0)
-    s.add_argument("--group-size", type=int, default=None)
     s.set_defaults(func=cmd_emit_plot_data)
     return p
 

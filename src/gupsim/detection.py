@@ -31,6 +31,9 @@ from .errors import (
 from .leastsq import damped_gauss_newton
 from .optomech import CooledState, OpticalCavity, occupancy_from_ratio
 
+SIDEBAND_HALFWIDTH_HZ = 9e3     # half-width of each sideband's fit window
+COHERENT_EXCLUDE_BINS = 4       # bins either side of a sideband left out of the fit
+PEAK_MIN_SIGMA = 5.0            # significance a coherent peak must reach
 
 
 @dataclass(frozen=True)
@@ -39,9 +42,11 @@ class DetectionConfig:
 
     The local oscillator sits delta_lo above the probe, so the Stokes sideband
     lands at (Omega_m + delta_lo) and the anti-Stokes at (Omega_m - delta_lo) in
-    the detected spectrum.  The lock-in demodulates at omega_exc - 2*pi*4 kHz by
-    default, which places the anti-Stokes line at 8 kHz - f_m and the Stokes
-    line at 16 kHz + f_m, with f_m = (Omega_m - Omega_exc)/2pi.
+    the detected spectrum.  The lock-in demodulates at lockin_ref, which places
+    the anti-Stokes line at f_lower - f_m and the Stokes line at f_upper + f_m,
+    with f_m = (Omega_m - Omega_exc)/2pi and (f_lower, f_upper) the
+    `line_offsets`. The default reference, omega_exc - 2*pi*4 kHz, with the
+    default delta_lo gives (8 kHz, 16 kHz).
     """
 
     omega_exc: float = TWO_PI * 525800.0   # rad/s, excitation tone
@@ -74,6 +79,13 @@ class DetectionConfig:
     @property
     def antistokes_freq(self) -> float:
         return (self.omega_exc - self.delta_lo) / TWO_PI
+
+    @property
+    def line_offsets(self) -> tuple[float, float]:
+        """(f_lower, f_upper): lock-in frequencies, Hz, of the anti-Stokes and
+        Stokes lines at f_m = 0, as the ring-down fit takes them."""
+        ref = self.lockin_ref / TWO_PI
+        return ref - self.antistokes_freq, self.stokes_freq - ref
 
     @property
     def record_rate(self) -> float:
@@ -353,14 +365,14 @@ def average_records(records: list[QuadratureRecord],
 
 # --- spectral estimation -----------------------------------------------------
 
-def welch_psd(ts: TimeSeries, segment_length: int, overlap: float = 0.5,
-              window: str = "hann") -> SpectrumEstimate:
-    """Averaged-periodogram one-sided PSD (density scaling, variance-preserving)."""
+def welch_psd(ts: TimeSeries, segment_length: int) -> SpectrumEstimate:
+    """Averaged-periodogram one-sided PSD (density scaling, variance-preserving)
+    with Hann windows overlapping by half a segment."""
     n = len(ts)
     if segment_length > n:
         raise SegmentTooLong(f"segment {segment_length} > series length {n}")
-    noverlap = int(segment_length * overlap)
-    freqs, psd = sig.welch(ts.samples, fs=ts.sample_rate, window=window,
+    noverlap = segment_length // 2
+    freqs, psd = sig.welch(ts.samples, fs=ts.sample_rate, window="hann",
                            nperseg=segment_length, noverlap=noverlap,
                            detrend=False)
     step = segment_length - noverlap
@@ -415,15 +427,15 @@ class LorentzianPairFit:
     excluded_masks: tuple[np.ndarray, np.ndarray]
 
 
-def fit_lorentzian_pair(spec: SpectrumEstimate, det: DetectionConfig,
-                        window_halfwidth: float = 9e3,
-                        exclude_coherent_bins: int = 4) -> LorentzianPairFit:
+def fit_lorentzian_pair(spec: SpectrumEstimate, det: DetectionConfig) -> LorentzianPairFit:
     """Joint Lorentzian + flat-background fit of the two motional sidebands.
 
-    Each sideband window gets its own flat background, and both Lorentzians
+    Each sideband window (SIDEBAND_HALFWIDTH_HZ either side of the nominal
+    sideband frequency) gets its own flat background, and both Lorentzians
     contribute to both windows so the neighbor tail is modeled rather than
-    absorbed. The central exclude_coherent_bins bins of each window are left
-    out of the fit so a narrow coherent line cannot bias the thermal areas.
+    absorbed. The COHERENT_EXCLUDE_BINS bins either side of each window's
+    centre are left out of the fit so a narrow coherent line cannot bias the
+    thermal areas.
     Detuning-correction factors are applied to the areas before computing the
     Stokes/anti-Stokes ratio and the occupancy estimate.
     """
@@ -432,13 +444,13 @@ def fit_lorentzian_pair(spec: SpectrumEstimate, det: DetectionConfig,
     masks = []
     excl = []
     for fc in (det.stokes_freq, det.antistokes_freq):
-        m = (f >= fc - window_halfwidth) & (f <= fc + window_halfwidth)
+        m = (f >= fc - SIDEBAND_HALFWIDTH_HZ) & (f <= fc + SIDEBAND_HALFWIDTH_HZ)
         if not np.any(m):
             raise ValueError(f"sideband window at {fc:.0f} Hz outside spectrum support")
         center_bin = np.argmin(np.abs(f - fc))
         e = np.zeros_like(m)
-        lo = max(center_bin - exclude_coherent_bins, 0)
-        e[lo:center_bin + exclude_coherent_bins + 1] = True
+        lo = max(center_bin - COHERENT_EXCLUDE_BINS, 0)
+        e[lo:center_bin + COHERENT_EXCLUDE_BINS + 1] = True
         masks.append(m)
         excl.append(e & m)
     m_s, m_as = masks
@@ -525,13 +537,13 @@ def fit_lorentzian_pair(spec: SpectrumEstimate, det: DetectionConfig,
 
 
 def coherent_peak_analysis(spec: SpectrumEstimate, fit: LorentzianPairFit,
-                           det: DetectionConfig,
-                           min_significance: float = 5.0) -> float:
+                           det: DetectionConfig) -> float:
     """Coherent amplitude |alpha|^2 from the narrow-line to Lorentzian area ratio.
 
     The excess area above the fitted Lorentzian + background inside the
     coherent-exclusion windows, summed over both sidebands, divided by the total
-    corrected Lorentzian area, equals |alpha|^2/(n_bar + 1/2).
+    corrected Lorentzian area, equals |alpha|^2/(n_bar + 1/2). Raises
+    PeakNotResolved when that excess is below PEAK_MIN_SIGMA standard errors.
     """
     f = spec.freqs
     p = spec.psd
@@ -554,9 +566,9 @@ def coherent_peak_analysis(spec: SpectrumEstimate, fit: LorentzianPairFit,
         resid = p[side] - pair_model(f[side], fit.background[k])
         noise_var += (corr[k] * df) ** 2 * float(np.var(resid)) * np.sum(e_mask)
     peak_err = math.sqrt(noise_var)
-    if peak_area <= min_significance * peak_err:
+    if peak_area <= PEAK_MIN_SIGMA * peak_err:
         raise PeakNotResolved(
-            f"coherent peak area {peak_area:.3g} below {min_significance} sigma "
+            f"coherent peak area {peak_area:.3g} below {PEAK_MIN_SIGMA} sigma "
             f"({peak_err:.3g})")
     lorentz_area = fit.stokes.area * corr[0] + fit.antistokes.area * corr[1]
     n_bar = fit.occupancy

@@ -8,11 +8,12 @@ counter-rotating lines with a common exponential envelope:
     Y = A exp(-t/tau) { sin[2 pi t (f_lo - f_m) + phi]
                         - B sin[2 pi t (f_hi + f_m) + phi + dphi] }
 
-with f_lo = 8 kHz and f_hi = 16 kHz for the default detection settings and
-f_m the mechanical offset from the excitation tone. A rapidly decaying early
-frequency shift delta_f(t) perturbs the quadratures at first order by
-dQ/d(f_m t) * (delta_f0 * t + c), which is fitted linearly on the residuals
-of the extrapolated late-window model.
+with f_lo and f_hi the lock-in frequencies of the two lines at f_m = 0
+(`DetectionConfig.line_offsets`: 8 and 16 kHz for the default detection
+settings) and f_m the mechanical offset from the excitation tone. A rapidly
+decaying early frequency shift delta_f(t) perturbs the quadratures at first
+order by dQ/d(f_m t) * (delta_f0 * t + c), which is fitted linearly on the
+residuals of the extrapolated late-window model.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import QuadratureRecord
-from .dynamics import DEFAULT_CONSTANTS, TWO_PI, MechanicalMode, PhysicalConstants
+from .dynamics import DEFAULT_CONSTANTS, TWO_PI, MechanicalMode
 from .errors import (
     BaseFitInvalid,
     DegenerateSpan,
@@ -38,6 +39,9 @@ from .optomech import CooledState
 
 DEFAULT_BASE_WINDOW = (1e-4, 1e-3)      # s, late fit window
 DEFAULT_EARLY_WINDOW = (0.0, 50e-6)     # s, high-purity window
+HISTOGRAM_BINS = 20                     # bins of a shift histogram
+NULL_SIGMA = 2.0                        # null-compatibility threshold, standard errors
+MAX_EPSILON = 0.1                       # largest eps_max a bound accepts
 
 
 def ringdown_model(t, A, tau, f_m, phi, B, dphi,
@@ -109,7 +113,7 @@ class RingdownFit:
         return TWO_PI * Y, -TWO_PI * X
 
 
-def _ringdown_residual_jacobian(t, x_data, y_data, f_lower, f_upper, fix_B):
+def _ringdown_residual_jacobian(t, x_data, y_data, f_lower, f_upper):
     """Builders for the stacked residual/Jacobian of the joint quadrature fit.
 
     The fitted envelope parameter is the decay rate k = 1/tau, not tau. An
@@ -118,19 +122,12 @@ def _ringdown_residual_jacobian(t, x_data, y_data, f_lower, f_upper, fix_B):
     Jacobian vanishes and a fit can stall short of the optimum.
     """
 
-    def unpack(theta):
-        if fix_B:
-            A, k, f_m, phi = theta
-            return A, k, f_m, phi, 0.0, 0.0
-        return tuple(theta)
-
     def residual(theta):
-        A, k, f_m, phi, B, dphi = unpack(theta)
-        X, Y = _decay_model(t, A, k, f_m, phi, B, dphi, f_lower, f_upper)
+        X, Y = _decay_model(t, *theta, f_lower, f_upper)
         return np.concatenate([X - x_data, Y - y_data])
 
     def jacobian(theta):
-        A, k, f_m, phi, B, dphi = unpack(theta)
+        A, k, f_m, phi, B, dphi = theta
         env = np.exp(-t * k)
         th1 = TWO_PI * t * (f_lower - f_m) + phi
         th2 = TWO_PI * t * (f_upper + f_m) + phi + dphi
@@ -139,8 +136,7 @@ def _ringdown_residual_jacobian(t, x_data, y_data, f_lower, f_upper, fix_B):
         X = A * env * (c1 + B * c2)
         Y = A * env * (s1 - B * s2)
         n = t.size
-        p = 4 if fix_B else 6
-        J = np.empty((2 * n, p))
+        J = np.empty((2 * n, 6))
         J[:n, 0] = env * (c1 + B * c2)
         J[n:, 0] = env * (s1 - B * s2)
         J[:n, 1] = -t * X
@@ -149,11 +145,10 @@ def _ringdown_residual_jacobian(t, x_data, y_data, f_lower, f_upper, fix_B):
         J[n:, 2] = -TWO_PI * t * X
         J[:n, 3] = A * env * (-s1 - B * s2)
         J[n:, 3] = A * env * (c1 - B * c2)
-        if not fix_B:
-            J[:n, 4] = A * env * c2
-            J[n:, 4] = -A * env * s2
-            J[:n, 5] = -A * env * B * s2
-            J[n:, 5] = -A * env * B * c2
+        J[:n, 4] = A * env * c2
+        J[n:, 4] = -A * env * s2
+        J[:n, 5] = -A * env * B * s2
+        J[n:, 5] = -A * env * B * c2
         return J
 
     return residual, jacobian
@@ -223,13 +218,15 @@ def _linear_amplitudes(t, x_data, y_data, rate, f_m, f_lower, f_upper):
 
 
 def fit_ringdown(rec: QuadratureRecord, window: tuple[float, float] = DEFAULT_BASE_WINDOW,
-                 f_lower: float = 8000.0, f_upper: float = 16000.0,
-                 fix_B: bool = False, initial: np.ndarray | None = None) -> RingdownFit:
+                 f_lower: float = 8000.0, f_upper: float = 16000.0) -> RingdownFit:
     """Joint nonlinear least squares of both quadratures over the given window.
 
-    Damped Gauss-Newton from an FFT-peak / log-envelope initial guess, or from
-    `initial` = (A, tau, f_m, phi, B, dphi). The solver works on 1/tau; the
-    covariance, from the Jacobian at the optimum, is carried over to tau.
+    f_lower and f_upper are the lock-in frequencies of the anti-Stokes and
+    Stokes lines at f_m = 0; `DetectionConfig.line_offsets` gives them for a
+    detection chain, and the defaults are those of `DetectionConfig()`.
+    Damped Gauss-Newton from an FFT-peak / log-envelope initial guess, with
+    three fallback starts. The solver works on 1/tau; the covariance, from
+    the Jacobian at the optimum, is carried over to tau.
     Raises WindowOutOfRange if the window does not lie inside the record and
     FitDiverged if the solver fails from every initial-guess candidate.
     """
@@ -242,13 +239,8 @@ def fit_ringdown(rec: QuadratureRecord, window: tuple[float, float] = DEFAULT_BA
     x_data = sub.x_quad.samples
     y_data = sub.y_quad.samples
 
-    if initial is None:
-        theta0 = _initial_guess(t, x_data, y_data, f_lower, f_upper)
-    else:
-        theta0 = np.array(initial, dtype=float)
-        theta0[1] = 1.0 / theta0[1]
-    residual, jacobian = _ringdown_residual_jacobian(
-        t, x_data, y_data, f_lower, f_upper, fix_B)
+    theta0 = _initial_guess(t, x_data, y_data, f_lower, f_upper)
+    residual, jacobian = _ringdown_residual_jacobian(t, x_data, y_data, f_lower, f_upper)
 
     candidates = [theta0]
     # fallbacks: f_m from each line alone, then a fresh linear-amplitude solve
@@ -258,9 +250,8 @@ def fit_ringdown(rec: QuadratureRecord, window: tuple[float, float] = DEFAULT_BA
 
     last_exc = None
     for cand in candidates:
-        start = cand[:4] if fix_B else cand
         try:
-            res = damped_gauss_newton(residual, jacobian, start)
+            res = damped_gauss_newton(residual, jacobian, cand)
         except FitDiverged as exc:
             last_exc = exc
             continue
@@ -269,19 +260,11 @@ def fit_ringdown(rec: QuadratureRecord, window: tuple[float, float] = DEFAULT_BA
     else:
         raise last_exc or FitDiverged("ring-down fit did not converge")
 
-    if fix_B:
-        A, k, f_m, phi = res.params
-        B = 0.0
-        dphi = 0.0
-        cov = np.zeros((6, 6))
-        cov[:4, :4] = res.covariance
-    else:
-        A, k, f_m, phi, B, dphi = res.params
-        cov = res.covariance
+    A, k, f_m, phi, B, dphi = res.params
     tau = 1.0 / k
     dparams = np.ones(6)
     dparams[1] = -tau ** 2      # d tau / d(1/tau)
-    cov = cov * np.outer(dparams, dparams)
+    cov = res.covariance * np.outer(dparams, dparams)
     # canonicalize: positive amplitude pair, wrapped phases
     if A < 0:
         A, phi = -A, phi + math.pi
@@ -388,22 +371,24 @@ class ShiftStatistics:
             return 0.0
         return math.erfc(abs(self.z_score) / math.sqrt(2.0))
 
-    def null_compatible(self, n_sigma: float = 2.0) -> bool:
-        return abs(self.z_score) <= n_sigma
+    def null_compatible(self) -> bool:
+        """Mean within NULL_SIGMA standard errors of zero."""
+        return abs(self.z_score) <= NULL_SIGMA
 
 
-def aggregate_shifts(fits: list[ShiftFit], bins: int = 20) -> ShiftStatistics:
-    """Mean, sample standard deviation and histogram of delta_f0 estimates."""
+def aggregate_shifts(fits: list[ShiftFit]) -> ShiftStatistics:
+    """Mean, sample standard deviation and histogram (HISTOGRAM_BINS bins) of
+    delta_f0 estimates."""
     if len(fits) < 2:
         raise TooFewSamples(f"need >= 2 shift fits, got {len(fits)}")
     values = np.array([f.delta_fm0 for f in fits])
     mean = float(np.mean(values))
     std = float(np.std(values, ddof=1))
     span = 4.0 * std if std > 0 else max(abs(mean), 1.0)
-    if span < 4.0 * bins * np.spacing(abs(mean) + 1.0):
+    if span < 4.0 * HISTOGRAM_BINS * np.spacing(abs(mean) + 1.0):
         # std below the float resolution of mean: bins would degenerate
         span = max(abs(mean), 1.0)
-    counts, edges = np.histogram(values, bins=bins,
+    counts, edges = np.histogram(values, bins=HISTOGRAM_BINS,
                                  range=(mean - span, mean + span))
     quad = fits[0].quadrature if fits else ""
     return ShiftStatistics(mean=mean, std=std, n_samples=len(values),
@@ -421,14 +406,14 @@ class WidthShiftScan:
     points: list[tuple[float, float, float]]    # (f_m Hz, width Hz, width err Hz)
 
 
-def width_vs_shift_scan(fits: list[RingdownFit], weighted: bool = True) -> WidthShiftScan:
+def width_vs_shift_scan(fits: list[RingdownFit]) -> WidthShiftScan:
     """Linear regression of the effective width against the frequency shift.
 
     The small-detuning optical spring/damping relation predicts the slope
     2*kappa*Omega_m/[(kappa/2)^2 - Omega_m^2]; the offset is left free.
     Points are strongly heteroscedastic (fast-decaying records estimate the
-    width far better than slow ones), so the default is an inverse-variance
-    weighted fit using each point's reported width error.
+    width far better than slow ones), so the fit is inverse-variance weighted
+    by each point's reported width error.
     """
     if len(fits) < 2:
         raise DegenerateSpan(f"need >= 2 fits, got {len(fits)}")
@@ -438,11 +423,8 @@ def width_vs_shift_scan(fits: list[RingdownFit], weighted: bool = True) -> Width
     span = fm.max() - fm.min()
     if span <= 1e-9 * max(abs(fm).max(), 1.0):
         raise DegenerateSpan("all fits at a single detuning")
-    if weighted:
-        floor = max(1e-3 * float(np.median(np.abs(width))), 1e-12)
-        w = 1.0 / np.maximum(werr, floor)
-    else:
-        w = np.ones_like(width)
+    floor = max(1e-3 * float(np.median(np.abs(width))), 1e-12)
+    w = 1.0 / np.maximum(werr, floor)
     G = np.column_stack([fm, np.ones_like(fm)]) * w[:, None]
     rhs = width * w
     coef, *_ = np.linalg.lstsq(G, rhs, rcond=None)
@@ -488,12 +470,12 @@ class BetaBound:
 
 
 def beta_bound(stats: ShiftStatistics, operating: CooledState, mode: MechanicalMode,
-               d_units: PhysicalConstants = DEFAULT_CONSTANTS,
-               alpha_sq: float | None = None, max_epsilon: float = 0.1) -> BetaBound:
+               alpha_sq: float | None = None) -> BetaBound:
     """Convert null-shift statistics into an upper limit on beta0.
 
     delta_f_max = |mean| + 2*std/sqrt(n); eps_max = 2*delta_f_max/(Omega_m/2pi);
-    beta0 = eps_max * hbar^2 / (L_p^2 m^2 Omega_m^2 A^2).
+    beta0 = eps_max * hbar^2 / (L_p^2 m^2 Omega_m^2 A^2). Raises ValueError
+    when eps_max exceeds MAX_EPSILON, outside the perturbative regime.
     """
     if alpha_sq is None:
         alpha_sq = operating.alpha_sq
@@ -504,13 +486,13 @@ def beta_bound(stats: ShiftStatistics, operating: CooledState, mode: MechanicalM
     delta_f_max = abs(stats.mean) + 2.0 * stats.standard_error
     f_mech = mode.omega_m / TWO_PI
     eps_max = 2.0 * delta_f_max / f_mech
-    if eps_max > max_epsilon:
+    if eps_max > MAX_EPSILON:
         raise ValueError(
-            f"eps_max={eps_max:.3g} outside the perturbative regime (> {max_epsilon})")
-    x_zpf = mode.x_zpf(d_units)
+            f"eps_max={eps_max:.3g} outside the perturbative regime (> {MAX_EPSILON})")
+    x_zpf = mode.x_zpf(DEFAULT_CONSTANTS)
     amp_sq = 2.0 * x_zpf ** 2 * (2.0 * alpha_sq + 2.0 * operating.n_bar + 1.0)
     beta_tilde = eps_max / ((mode.mass * mode.omega_m) ** 2 * amp_sq)
-    beta0 = beta_tilde * (d_units.hbar / d_units.L_p) ** 2
+    beta0 = beta_tilde * (DEFAULT_CONSTANTS.hbar / DEFAULT_CONSTANTS.L_p) ** 2
     return BetaBound(beta0_limit=beta0, beta_tilde_limit=beta_tilde,
                      epsilon_max=eps_max, delta_f_max=delta_f_max,
                      amplitude_sq=amp_sq,

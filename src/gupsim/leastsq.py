@@ -10,7 +10,7 @@ the cost.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,12 @@ from .errors import FitDiverged
 # the ring-down data), so cost comparisons are still sound when it is reached,
 # and far inside the basin of the optimum, where plain Gauss-Newton converges.
 LOCAL_DECREASE = 1e-10
+MAX_ITER = 200
+# convergence: undamped step at most XTOL standard errors long
+XTOL = 1e-12
+# Levenberg damping: starting value, and the value at which a step search gives up
+LAM0 = 1e-3
+LAM_MAX = 1e12
 
 
 @dataclass
@@ -31,7 +37,6 @@ class LeastSquaresResult:
     iterations: int
     converged: bool
     residual_std: float = 0.0
-    diagnostics: dict = field(default_factory=dict)
 
 
 def _gauss_newton_step(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
@@ -49,19 +54,17 @@ def _gauss_newton_step(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]
     return step, float(Js @ Js)
 
 
-def damped_gauss_newton(residual_fn, jacobian_fn, theta0,
-                        max_iter: int = 200, xtol: float = 1e-12,
-                        lam0: float = 1e-3, lam_max: float = 1e12) -> LeastSquaresResult:
+def damped_gauss_newton(residual_fn, jacobian_fn, theta0) -> LeastSquaresResult:
     """Minimize 0.5*||r(theta)||^2 with analytic Jacobian.
 
     residual_fn(theta) -> (n,) residual vector.
     jacobian_fn(theta) -> (n, p) Jacobian of the residuals.
 
     Stopping rule: every iteration computes the undamped Gauss-Newton step.
-    The fit has converged when that step is at most xtol standard errors long,
+    The fit has converged when that step is at most XTOL standard errors long,
     in the norm of the parameter covariance (its decrement is at most
-    xtol^2 * 2*cost/dof), which bounds the step in every single parameter by
-    xtol of its standard error. Until the predicted decrease falls below
+    XTOL^2 * 2*cost/dof), which bounds the step in every single parameter by
+    XTOL of its standard error. Until the predicted decrease falls below
     LOCAL_DECREASE of the starting cost, Levenberg damping keeps only steps
     that lower the cost. After that the solver takes plain Gauss-Newton steps,
     with no cost comparison, and stops once the decrement no longer shrinks:
@@ -79,15 +82,15 @@ def damped_gauss_newton(residual_fn, jacobian_fn, theta0,
     cost = 0.5 * float(r @ r)
     dof = max(r.size - theta.size, 1)
     local_floor = LOCAL_DECREASE * cost
-    lam = lam0
+    lam = LAM0
     local = False
     prev_dec = np.inf
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         J = jacobian_fn(theta)
         gn_step, dec = _gauss_newton_step(J, r)
-        if dec <= xtol ** 2 * 2.0 * cost / dof:
+        if dec <= XTOL ** 2 * 2.0 * cost / dof:
             converged = True
             break
         if gn_step is not None and (local or 0.5 * dec <= local_floor):
@@ -122,7 +125,7 @@ def damped_gauss_newton(residual_fn, jacobian_fn, theta0,
                     stepped = True
                     break
             lam *= 10.0
-            if lam > lam_max:
+            if lam > LAM_MAX:
                 break
         if not stepped:
             # no descent direction found; accept as converged only if the
@@ -140,5 +143,4 @@ def damped_gauss_newton(residual_fn, jacobian_fn, theta0,
         cov = np.full((theta.size, theta.size), np.nan)
     return LeastSquaresResult(params=theta, covariance=cov, cost=cost,
                               iterations=it, converged=converged,
-                              residual_std=float(np.sqrt(sigma2)),
-                              diagnostics={"lambda": lam})
+                              residual_std=float(np.sqrt(sigma2)))

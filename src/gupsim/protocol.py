@@ -39,8 +39,6 @@ from .detection import (
 )
 from .dynamics import TWO_PI, DeformationParams, MechanicalMode
 from .estimation import (
-    DEFAULT_BASE_WINDOW,
-    DEFAULT_EARLY_WINDOW,
     RingdownFit,
     ShiftFit,
     ShiftStatistics,
@@ -410,25 +408,27 @@ class SeriesAnalysis:
     n_groups: int
 
 
-def analyze_dataset(ds: Dataset, group_size: int | None = None,
-                    base_window: tuple[float, float] = DEFAULT_BASE_WINDOW,
-                    early_window: tuple[float, float] = DEFAULT_EARLY_WINDOW,
-                    f_lower: float = 8000.0, f_upper: float = 16000.0) -> SeriesAnalysis:
-    """Group-average the cycles, fit ring-downs and early-window shifts."""
-    if group_size is None:
-        group_size = ds.config.schedule.group_size
-    grouped = ds.grouped_records(group_size)
+def analyze_dataset(ds: Dataset) -> SeriesAnalysis:
+    """Group-average the cycles, fit ring-downs and early-window shifts.
+
+    Everything comes from the series' config: the group size from its
+    schedule, the lock-in line offsets from its detection settings. The fits
+    use the default late and early windows of `estimation`.
+    """
+    cfg = ds.config
+    f_lower, f_upper = cfg.detection.line_offsets
+    grouped = ds.grouped_records(cfg.schedule.group_size)
     fits = []
     sx = []
     sy = []
     for rec in grouped:
-        base = fit_ringdown(rec, window=base_window, f_lower=f_lower, f_upper=f_upper)
+        base = fit_ringdown(rec, f_lower=f_lower, f_upper=f_upper)
         fits.append(base)
-        fx, fy = fit_transient_shift(rec, base, early_window=early_window)
+        fx, fy = fit_transient_shift(rec, base)
         sx.append(fx)
         sy.append(fy)
     return SeriesAnalysis(series_index=ds.series_index,
-                          probe_detuning=ds.config.cavity.probe_detuning,
+                          probe_detuning=cfg.cavity.probe_detuning,
                           ringdown_fits=fits, shift_fits_x=sx, shift_fits_y=sy,
                           stats_x=aggregate_shifts(sx), stats_y=aggregate_shifts(sy),
                           n_groups=len(grouped))

@@ -237,13 +237,23 @@ def save_raw(ts: TimeSeries, path: Path):
 
 
 def load_raw(path: Path) -> TimeSeries:
+    """Parse a `save_raw` file; CorruptRecord if it is cut short or malformed."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if header["n_samples"] != data.size:
-        raise ValueError(f"truncated raw record {path}")
-    return TimeSeries(header["t0_s"], header["dt_s"], data.copy(),
-                      dict(header.get("metadata", {})))
+        head = fh.readline()
+        body = fh.read()
+    try:
+        header = json.loads(head)
+        n, t0, dt = int(header["n_samples"]), header["t0_s"], header["dt_s"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CorruptRecord(f"{path}: bad header ({exc})") from None
+    if len(body) != 8 * n:
+        raise CorruptRecord(f"{path}: truncated ({len(body)} bytes for {n} "
+                            f"float64 samples)")
+    data = np.frombuffer(body, dtype="<f8").copy()
+    try:
+        return TimeSeries(t0, dt, data, dict(header.get("metadata", {})))
+    except (ValueError, TypeError) as exc:      # a non-finite sample or a bad dt
+        raise CorruptRecord(f"{path}: {exc}") from None
 
 
 def save_dataset(ds: Dataset, out_dir: Path):
@@ -284,55 +294,46 @@ def load_dataset(ds_dir: Path) -> Dataset:
 
 # --- column exports ---------------------------------------------------------------
 
-def save_spectrum(spec: SpectrumEstimate, path: Path, header: dict | None = None):
-    lines = ["# format: spectrum-1",
-             f"# resolution_hz: {spec.resolution!r}",
-             f"# n_averages: {spec.n_averages}"]
-    for k, v in sorted((header or {}).items()):
-        lines.append(f"# {k}: {_fmt(v)}")
-    lines.append("# columns: freq_hz psd_per_hz")
-    for f, p in zip(spec.freqs, spec.psd):
-        lines.append(f"{float(f)!r} {float(p)!r}")
+def _write_columns(path: Path, header: list[tuple[str, object]], columns: str, rows):
+    """Text export: '# key: value' header lines, '# columns: ...', then the rows."""
+    lines = [f"# {k}: {_fmt(v)}" for k, v in header]
+    lines.append(f"# columns: {columns}")
+    lines.extend(rows)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def save_spectrum(spec: SpectrumEstimate, path: Path, header: dict | None = None):
+    head = [("format", "spectrum-1"), ("resolution_hz", spec.resolution),
+            ("n_averages", spec.n_averages), *sorted((header or {}).items())]
+    _write_columns(path, head, "freq_hz psd_per_hz",
+                   map("{!r} {!r}".format, spec.freqs.tolist(), spec.psd.tolist()))
 
 
 def save_quadratures(rec: QuadratureRecord, out_dir: Path, stem: str):
     """Two-column text traces (t, X) and (t, Y) as `<stem>_x.dat` and `<stem>_y.dat`."""
     t = rec.times.tolist()
     for name, ts in (("x", rec.x_quad), ("y", rec.y_quad)):
-        lines = [f"# columns: t_s {name}"]
-        lines.extend(map("{!r} {!r}".format, t, ts.samples.tolist()))
-        (Path(out_dir) / f"{stem}_{name}.dat").write_text("\n".join(lines) + "\n")
+        _write_columns(Path(out_dir) / f"{stem}_{name}.dat", [], f"t_s {name}",
+                       map("{!r} {!r}".format, t, ts.samples.tolist()))
 
 
 def save_trajectory(traj: Trajectory, path: Path):
     """Columnar text export (t, x, p) with the generating parameters in the header."""
     mode = traj.mode
-    lines = ["# format: trajectory-1",
-             f"# omega_m_rad_s: {mode.omega_m!r}",
-             f"# gamma_m_rad_s: {mode.gamma_m!r}",
-             f"# mass_kg: {mode.mass!r}",
-             f"# bath_temperature_k: {mode.T_bath!r}",
-             f"# beta0: {traj.deformation.beta0!r}",
-             f"# dt_s: {traj.dt!r}",
-             f"# damping_rad_s: {traj.damping!r}"]
-    for k, v in sorted(traj.metadata.items()):
-        lines.append(f"# {k}: {_fmt(v)}")
-    lines.append("# columns: t_s x_m p_kg_m_s")
-    for i in range(len(traj)):
-        lines.append(
-            f"{float(traj.t[i])!r} {float(traj.x[i])!r} {float(traj.p[i])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = [("format", "trajectory-1"), ("omega_m_rad_s", mode.omega_m),
+              ("gamma_m_rad_s", mode.gamma_m), ("mass_kg", mode.mass),
+              ("bath_temperature_k", mode.T_bath), ("beta0", traj.deformation.beta0),
+              ("dt_s", traj.dt), ("damping_rad_s", traj.damping),
+              *sorted(traj.metadata.items())]
+    _write_columns(path, header, "t_s x_m p_kg_m_s",
+                   map("{!r} {!r} {!r}".format, traj.t.tolist(), traj.x.tolist(),
+                       traj.p.tolist()))
 
 
 def save_histogram(counts: np.ndarray, edges: np.ndarray, path: Path,
                    header: dict | None = None):
     """Two-column text (bin center, count) for shift histograms."""
     centers = 0.5 * (edges[:-1] + edges[1:])
-    lines = ["# format: histogram-1"]
-    for k, v in sorted((header or {}).items()):
-        lines.append(f"# {k}: {_fmt(v)}")
-    lines.append("# columns: bin_center count")
-    for c, n in zip(centers, counts):
-        lines.append(f"{float(c)!r} {int(n)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_columns(path, [("format", "histogram-1"), *sorted((header or {}).items())],
+                   "bin_center count",
+                   (f"{c!r} {int(n)}" for c, n in zip(centers.tolist(), counts)))

@@ -64,6 +64,12 @@ class TestDetectionConfig:
     def test_default_lockin_reference(self):
         assert DET.lockin_ref == pytest.approx(DET.omega_exc - TWO_PI * 4000.0)
 
+    def test_line_offsets(self):
+        assert DET.line_offsets == (8000.0, 16000.0)
+        moved = DetectionConfig(delta_lo=TWO_PI * 10e3,
+                                lockin_ref=DET.omega_exc - TWO_PI * 3e3)
+        assert moved.line_offsets == pytest.approx((7000.0, 13000.0), abs=1e-6)
+
     def test_lo_offset_guard(self):
         with pytest.raises(ValueError):
             DetectionConfig(delta_lo=0.5 * DET.omega_exc)

@@ -20,7 +20,7 @@ def noisy_ringdown_problem(rng, noise):
     X, Y = ringdown_model(T, A, tau, f_m, phi, B, dphi)
     X = X + noise * A * rng.standard_normal(T.size)
     Y = Y + noise * A * rng.standard_normal(T.size)
-    residual, jacobian = _ringdown_residual_jacobian(T, X, Y, 8000.0, 16000.0, False)
+    residual, jacobian = _ringdown_residual_jacobian(T, X, Y, 8000.0, 16000.0)
     # the solver works on the decay rate 1/tau; start a few percent off
     truth = np.array([A, 1.0 / tau, f_m, phi, B, dphi])
     start = truth * (1.0 + 0.02 * rng.standard_normal(truth.size))

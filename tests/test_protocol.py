@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +15,15 @@ from gupsim.protocol import (
     PROTOCOL_1_DECAY,
     CampaignConfig,
     ProtocolSchedule,
+    analyze_dataset,
     predicted_shift_at_switchoff,
     run_campaign,
     run_cycle,
     run_series,
 )
+from gupsim.storage import load_config
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "null_campaign.json"
 
 TWO_PI = 2 * math.pi
 MODE = MechanicalMode(omega_m=TWO_PI * 525800.0,
@@ -255,6 +260,26 @@ class TestCampaign:
         a0 = np.max(np.abs(datasets[0].records[0].x_quad.samples))
         a1 = np.max(np.abs(datasets[1].records[0].x_quad.samples))
         assert a1 / a0 == pytest.approx(2.0, rel=0.2)
+
+
+class TestAnalyzeDataset:
+    @pytest.mark.parametrize("lo_offset_hz", [10e3, 12e3])
+    def test_line_offsets_follow_detection_settings(self, lo_offset_hz):
+        # the LO offset moves both lock-in lines: at 10 kHz they sit at 6 and
+        # 14 kHz, and a fit at 8 and 16 kHz would put f_m near 2 kHz
+        cfg = load_config(CONFIG)
+        det = replace(cfg.detection, delta_lo=TWO_PI * lo_offset_hz)
+        cfg = replace(cfg, detection=det,
+                      schedule=replace(cfg.schedule, cycles_per_series=60))
+        analysis = analyze_dataset(run_series(cfg, 0))
+        assert analysis.n_groups == 6
+        for fit in analysis.ringdown_fits:
+            assert abs(fit.f_m) < 20.0
+            assert fit.residual_std < 5.0
+        shift = 12e3 - lo_offset_hz
+        assert det.line_offsets == pytest.approx((8e3 - shift, 16e3 - shift), abs=1e-6)
+        assert all((fit.f_lower, fit.f_upper) == det.line_offsets
+                   for fit in analysis.ringdown_fits)
 
 
 def clear_cycle_caches():

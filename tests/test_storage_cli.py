@@ -154,6 +154,24 @@ class TestRecordIO:
         np.testing.assert_array_equal(back.samples, ts.samples)
         assert back.t0 == ts.t0 and back.dt == ts.dt
 
+    @pytest.mark.parametrize("damage", [
+        lambda data: data[:-3],         # not a whole number of float64s
+        lambda data: data[:-8],         # one sample short
+        lambda data: b"{" + data,       # header line not JSON
+        lambda data: data[:-8] + np.array([np.nan]).tobytes(),  # non-finite sample
+    ], ids=["cut_3_bytes", "cut_8_bytes", "bad_header", "nan_sample"])
+    def test_damaged_raw_rejected(self, tmp_path, capsys, damage):
+        save_config(small_config(), tmp_path / "config.snapshot")
+        path = tmp_path / "stationary" / "0000.braw"
+        path.parent.mkdir()
+        save_raw(TimeSeries(0.0, 4e-7, np.random.default_rng(6).standard_normal(64)), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(CorruptRecord, match="0000.braw"):
+            load_raw(path)
+        assert main(["thermometry", "--in", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CorruptRecord" and "0000.braw" in err["message"]
+
     def test_dataset_round_trip(self, tmp_path):
         cfg = small_config(store_raw=True)
         ds = run_series(cfg, 0)
@@ -265,15 +283,6 @@ class TestCli:
         result = json.loads(capsys.readouterr().out)
         assert result["beta0_limit"] > 0
         assert result["convention"] == "mean-square-displacement"
-
-    def test_bound_rejects_unknown_convention(self, campaign_dir, capsys):
-        out = campaign_dir / "out"
-        main(["analyze", "--in", str(out)])
-        rc = main(["bound", "--summary", str(out / "analysis.report"),
-                   "--convention", "peak-hold"])
-        assert rc != 0
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "UnknownConvention"
 
     def test_emit_plot_data(self, campaign_dir):
         out = campaign_dir / "out"
