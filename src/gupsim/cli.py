@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from .dynamics import TWO_PI, purity
 from .errors import GupsimError, SegmentTooLong
 from .estimation import ShiftStatistics, beta_bound, width_vs_shift_scan
 from .optomech import CooledState, operating_report, spring_damping_slope
-from .protocol import analyze_dataset, run_campaign, summarize_campaign
+from .protocol import analyze_dataset, series_provenance, summarize_campaign
 from .storage import (
     config_hash,
     config_to_dict,
@@ -66,30 +67,32 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     if args.stationary is not None:
         return _simulate_stationary(cfg, out, args.stationary)
-    datasets = run_campaign(cfg, args.series)
-    for ds in datasets:
-        d = out / f"series_{ds.series_index:02d}"
-        save_dataset(ds, d)
+    if args.series < 1:
+        raise ValueError("--series must be >= 1")
+    for s in range(args.series):
+        d = out / f"series_{s:02d}"
+        scfg = save_dataset(cfg, s, d)
         # operating-point summary; `analyze` replaces it with the full analysis
         summary = {
             "kind": "operating-point",
-            "series_index": ds.series_index,
-            "n_records": len(ds.records),
-            "probe_detuning_hz": ds.config.cavity.probe_detuning / TWO_PI,
-            "operating": operating_report(ds.config.operating_state),
-            "provenance": {k: str(v) for k, v in sorted(ds.provenance.items())},
+            "series_index": s,
+            "n_records": scfg.schedule.cycles_per_series,
+            "probe_detuning_hz": scfg.cavity.probe_detuning / TWO_PI,
+            "operating": operating_report(scfg.operating_state),
+            "provenance": {k: str(v) for k, v in
+                           sorted(series_provenance(scfg, s).items())},
         }
         (d / "summary.report").write_text(
             json.dumps(summary, sort_keys=True, indent=2) + "\n")
     manifest = {
         "tool_version": __version__,
-        "config_hash": config_hash(config_to_dict(datasets[0].config)),
-        "n_series": len(datasets),
-        "series_dirs": [f"series_{ds.series_index:02d}" for ds in datasets],
+        "config_hash": config_hash(config_to_dict(cfg.series_variant(0))),
+        "n_series": args.series,
+        "series_dirs": [f"series_{s:02d}" for s in range(args.series)],
     }
     (out / "campaign.manifest").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n")
-    print(f"wrote {len(datasets)} series to {out}")
+    print(f"wrote {args.series} series to {out}")
     return 0
 
 
@@ -311,9 +314,10 @@ def cmd_emit_plot_data(args) -> int:
                                    "n": stats.n_samples})
         print(f"wrote shift histograms to {outdir}")
     elif args.what == "quadratures":
-        ds = load_dataset(_dataset_dirs(root)[0])
-        save_quadratures(ds.grouped_records(ds.config.schedule.group_size)[0],
-                         outdir, "quadrature")
+        d = _dataset_dirs(root)[0]
+        group_size = load_config(d / "config.snapshot").schedule.group_size
+        ds = load_dataset(d, n_records=group_size)
+        save_quadratures(ds.grouped_records(group_size)[0], outdir, "quadrature")
         print(f"wrote quadrature traces to {outdir}")
     else:
         return _fail("UnknownTarget", f"unknown --what {args.what}")
@@ -370,7 +374,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GupsimError as exc:
+    except (GupsimError, BrokenProcessPool) as exc:
         return _fail(type(exc).__name__, str(exc))
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         return _fail(type(exc).__name__, str(exc))

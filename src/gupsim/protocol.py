@@ -47,6 +47,7 @@ from .estimation import (
     fit_transient_shift,
 )
 from .optomech import CooledState, OpticalCavity, optical_damping_and_spring
+from .pool import chunked_map
 
 
 PROTOCOL_1_DECAY = "protocol_1_decay"
@@ -157,12 +158,6 @@ class Dataset:
     records: list[QuadratureRecord]
     config: CampaignConfig
     series_index: int = 0
-    raw: list[TimeSeries] | None = None
-
-    @property
-    def provenance(self) -> dict:
-        return {"seed": self.config.seed, "series_index": self.series_index,
-                "tool_version": __version__}
 
     def grouped_records(self, group_size: int) -> list[QuadratureRecord]:
         """Average consecutive cycles in groups (coherent excitation phase)."""
@@ -364,27 +359,37 @@ def run_cycle(cfg: CampaignConfig, cycle_index: int, seed, return_raw: bool = Fa
     return rec
 
 
-def run_series(cfg: CampaignConfig, series_index: int = 0) -> Dataset:
-    """All cycles of one series.
+def series_provenance(cfg: CampaignConfig, series_index: int) -> dict:
+    return {"seed": cfg.seed, "series_index": series_index, "tool_version": __version__}
 
-    Each cycle draws from its own derived seed [seed, series, cycle], so cycles
-    are independent and could be generated in parallel; this implementation
-    runs them in order and appends records by cycle index. All cycles of the
-    series share the per-series config, so `run_cycle` builds its fixed
-    arrays once for the series and each cycle adds only its random draws.
+
+def map_cycles(fn, cfg: CampaignConfig, series_index: int, *args) -> list:
+    """`[fn(cfg, series_index, *args, k) for k in cycles]` over the series' cycles.
+
+    `cfg` is the per-series config. The calls run on the process pool of
+    `pool.chunked_map` and return in cycle order. The cycle template is built
+    here, before the workers are forked, so they share one copy of it.
+    """
+    _cycle_template(cfg)
+    return chunked_map(fn, (cfg, series_index, *args),
+                       range(cfg.schedule.cycles_per_series))
+
+
+def _series_cycle(cfg: CampaignConfig, series_index: int, cycle_index: int):
+    return run_cycle(cfg, cycle_index, cfg.cycle_seed(series_index, cycle_index))
+
+
+def run_series(cfg: CampaignConfig, series_index: int = 0) -> Dataset:
+    """All cycles of one series, in memory.
+
+    Each cycle draws from its own derived seed [seed, series, cycle], so the
+    cycles are made on the process pool (`map_cycles`) and come back in cycle
+    order, the same whatever the number of workers. Raw series are not kept:
+    `storage.save_dataset` writes them in the worker that makes them.
     """
     scfg = cfg.series_variant(series_index)
-    records = []
-    raws = [] if cfg.store_raw else None
-    for k in range(scfg.schedule.cycles_per_series):
-        seed = scfg.cycle_seed(series_index, k)
-        if cfg.store_raw:
-            rec, raw = run_cycle(scfg, k, seed, return_raw=True)
-            raws.append(raw)
-        else:
-            rec = run_cycle(scfg, k, seed)
-        records.append(rec)
-    return Dataset(records=records, config=scfg, series_index=series_index, raw=raws)
+    return Dataset(records=map_cycles(_series_cycle, scfg, series_index),
+                   config=scfg, series_index=series_index)
 
 
 def run_campaign(cfg: CampaignConfig, n_series: int) -> list[Dataset]:

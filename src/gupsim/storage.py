@@ -4,9 +4,13 @@ All text formats are deterministic: floats are written with repr (shortest
 round-trip form) and keys are sorted, so identical (config, seed) inputs
 produce byte-identical artifacts. SI units with unit-annotated field names.
 
-A `Dataset` carries its per-series `CampaignConfig`; `save_dataset` writes it
-as the snapshot and `load_dataset` parses it back with `config_from_dict`, the
-same parser `load_config` uses for config files.
+`save_dataset` is the one series writer. It writes the per-series
+`CampaignConfig` as the snapshot, then makes every cycle on the process pool
+of `pool.chunked_map`; each worker writes the records (and, with `store_raw`,
+the raw series) of the cycles it makes. `load_dataset` reads the records back
+on the same pool into a `Dataset` and parses the snapshot with
+`config_from_dict`, the same parser `load_config` uses for config files. The
+bytes do not depend on the number of workers.
 
 Dataset directory layout:
     config.snapshot          canonical JSON config + hash + provenance
@@ -27,7 +31,15 @@ from .detection import DetectionConfig, QuadratureRecord, SpectrumEstimate, Time
 from .dynamics import TWO_PI, DeformationParams, MechanicalMode, Trajectory
 from .errors import CorruptRecord
 from .optomech import OpticalCavity
-from .protocol import CampaignConfig, Dataset, ProtocolSchedule
+from .pool import chunked_map
+from .protocol import (
+    CampaignConfig,
+    Dataset,
+    ProtocolSchedule,
+    map_cycles,
+    run_cycle,
+    series_provenance,
+)
 
 
 def _fmt(x) -> str:
@@ -221,9 +233,12 @@ def load_record(path: Path) -> QuadratureRecord:
     cycle = int(meta.get("cycle_index", 0))
     keep = {k: v for k, v in meta.items()
             if k not in {"format", "t0_s", "dt_s", "n_samples", "cycle_index", "columns"}}
-    return QuadratureRecord(TimeSeries(t0, dt, rows[:, 1].copy(), keep),
-                            TimeSeries(t0, dt, rows[:, 2].copy(), dict(keep)),
-                            cycle_index=cycle)
+    try:
+        return QuadratureRecord(TimeSeries(t0, dt, rows[:, 1].copy(), keep),
+                                TimeSeries(t0, dt, rows[:, 2].copy(), dict(keep)),
+                                cycle_index=cycle)
+    except ValueError as exc:       # a non-finite sample or a bad dt
+        raise CorruptRecord(f"{path}: {exc}") from None
 
 
 def save_raw(ts: TimeSeries, path: Path):
@@ -256,38 +271,60 @@ def load_raw(path: Path) -> TimeSeries:
         raise CorruptRecord(f"{path}: {exc}") from None
 
 
-def save_dataset(ds: Dataset, out_dir: Path):
+def _make_and_write(cfg: CampaignConfig, series_index: int, out: Path, cfg_hash: str,
+                    cycle_index: int):
+    rec, raw = run_cycle(cfg, cycle_index, cfg.cycle_seed(series_index, cycle_index),
+                         return_raw=True)
+    save_record(rec, out / "records" / f"{cycle_index:04d}.qrec",
+                extra_header={"config_hash": cfg_hash})
+    if cfg.store_raw:
+        save_raw(raw, out / "raw" / f"{cycle_index:04d}.braw")
+
+
+def save_dataset(cfg: CampaignConfig, series_index: int, out_dir: Path) -> CampaignConfig:
+    """Make and write one series of the campaign `cfg`; returns its per-series config.
+
+    Writes the snapshot, then makes each cycle on the process pool
+    (`protocol.map_cycles`) and writes its record (and its raw series, with
+    `store_raw`) in the worker that made it, so no cycle crosses a process
+    boundary and none is held after it is written.
+    """
+    scfg = cfg.series_variant(series_index)
     out = Path(out_dir)
     (out / "records").mkdir(parents=True, exist_ok=True)
-    snapshot = config_to_dict(ds.config)
+    if scfg.store_raw:
+        (out / "raw").mkdir(exist_ok=True)
+    snapshot = config_to_dict(scfg)
     snapshot["config_hash"] = config_hash(snapshot)
-    snapshot["provenance"] = {k: _fmt(v) for k, v in ds.provenance.items()}
+    snapshot["provenance"] = {k: _fmt(v) for k, v in
+                              series_provenance(scfg, series_index).items()}
     (out / "config.snapshot").write_text(
         json.dumps(snapshot, sort_keys=True, indent=2) + "\n")
-    for rec in ds.records:
-        save_record(rec, out / "records" / f"{rec.cycle_index:04d}.qrec",
-                    extra_header={"config_hash": snapshot["config_hash"]})
-    if ds.raw is not None:
-        (out / "raw").mkdir(exist_ok=True)
-        for k, ts in enumerate(ds.raw):
-            save_raw(ts, out / "raw" / f"{k:04d}.braw")
+    map_cycles(_make_and_write, scfg, series_index, out, snapshot["config_hash"])
+    return scfg
 
 
-def load_dataset(ds_dir: Path) -> Dataset:
-    """Config snapshot and records of a series; raw files stay on disk (`load_raw`).
+def _load_checked_record(cfg_hash: str, path: Path) -> QuadratureRecord:
+    rec = load_record(path)
+    got = rec.x_quad.metadata.get("config_hash")
+    if got != cfg_hash:
+        raise CorruptRecord(f"{path}: config_hash {got} differs from the "
+                            f"snapshot's {cfg_hash}")
+    return rec
 
-    CorruptRecord if a record does not carry the snapshot's config_hash.
+
+def load_dataset(ds_dir: Path, n_records: int | None = None) -> Dataset:
+    """Config snapshot and records of a series (the first `n_records`, or all).
+
+    The records are read on the process pool of `pool.chunked_map`. Raw files
+    stay on disk (`load_raw`). CorruptRecord, naming the first bad file in
+    cycle order, if a record is damaged or does not carry the snapshot's
+    config_hash.
     """
     ds_dir = Path(ds_dir)
     snapshot = json.loads((ds_dir / "config.snapshot").read_text())
-    records = []
-    for p in sorted((ds_dir / "records").glob("*.qrec")):
-        rec = load_record(p)
-        got = rec.x_quad.metadata.get("config_hash")
-        if got != snapshot.get("config_hash"):
-            raise CorruptRecord(f"{p}: config_hash {got} differs from the "
-                                f"snapshot's {snapshot.get('config_hash')}")
-        records.append(rec)
+    paths = sorted((ds_dir / "records").glob("*.qrec"))[:n_records]
+    records = chunked_map(_load_checked_record, (snapshot.get("config_hash"),), paths)
     return Dataset(records=records, config=config_from_dict(snapshot),
                    series_index=int(snapshot.get("provenance", {}).get("series_index", 0)))
 

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gupsim.cli
+import gupsim.storage
 from gupsim.cli import main
 from gupsim.detection import (
     DetectionConfig,
@@ -23,7 +25,7 @@ from gupsim.dynamics import (
 )
 from gupsim.errors import CorruptRecord
 from gupsim.optomech import OpticalCavity
-from gupsim.protocol import CampaignConfig, ProtocolSchedule, run_series
+from gupsim.protocol import CampaignConfig, ProtocolSchedule, run_cycle, run_series
 from gupsim.storage import (
     config_from_dict,
     config_hash,
@@ -134,8 +136,8 @@ class TestRecordIO:
             load_record(path)
 
     def test_record_from_other_config_rejected(self, tmp_path, capsys):
-        ds = run_series(small_config(schedule=ProtocolSchedule.from_series(0.08)), 0)
-        save_dataset(ds, tmp_path / "d")
+        save_dataset(small_config(schedule=ProtocolSchedule.from_series(0.08)), 0,
+                     tmp_path / "d")
         path = tmp_path / "d" / "records" / "0001.qrec"
         text = path.read_text()
         h = json.loads((tmp_path / "d" / "config.snapshot").read_text())["config_hash"]
@@ -173,20 +175,21 @@ class TestRecordIO:
         assert err["error"] == "CorruptRecord" and "0000.braw" in err["message"]
 
     def test_dataset_round_trip(self, tmp_path):
-        cfg = small_config(store_raw=True)
-        ds = run_series(cfg, 0)
-        save_dataset(ds, tmp_path / "d")
+        cfg = small_config(store_raw=True, series_probe_detunings=(0.0, TWO_PI * 30e3))
+        scfg = cfg.series_variant(1)
+        assert save_dataset(cfg, 1, tmp_path / "d") == scfg
         back = load_dataset(tmp_path / "d")
-        assert len(back.records) == len(ds.records)
-        np.testing.assert_array_equal(back.records[0].x_quad.samples,
-                                      ds.records[0].x_quad.samples)
-        assert back.config == ds.config
+        assert back.config == scfg and back.series_index == 1
         # raw files stay on disk; readers open them by path
-        assert back.raw is None
         raw_paths = sorted((tmp_path / "d" / "raw").glob("*.braw"))
-        assert len(raw_paths) == len(ds.raw)
-        for path, ts in zip(raw_paths, ds.raw):
-            np.testing.assert_array_equal(load_raw(path).samples, ts.samples)
+        n = cfg.schedule.cycles_per_series
+        assert len(back.records) == len(raw_paths) == n
+        for k, (rec, path) in enumerate(zip(back.records, raw_paths)):
+            want, raw = run_cycle(scfg, k, scfg.cycle_seed(1, k), return_raw=True)
+            assert rec.cycle_index == k
+            np.testing.assert_array_equal(rec.x_quad.samples, want.x_quad.samples)
+            np.testing.assert_array_equal(rec.y_quad.samples, want.y_quad.samples)
+            np.testing.assert_array_equal(load_raw(path).samples, raw.samples)
 
     def test_spectrum_export(self, tmp_path):
         spec = SpectrumEstimate(freqs=np.array([1.0, 2.0, 3.0]),
@@ -308,6 +311,22 @@ class TestCli:
             np.testing.assert_array_equal(cols[:, 0], want.times)
             np.testing.assert_array_equal(cols[:, 1], ts.samples)
 
+    def test_emit_quadratures_reads_one_group(self, campaign_dir, tmp_path,
+                                              monkeypatch, use_cpus):
+        # one worker, so every record opened is opened in this process
+        use_cpus(1)
+        opened = []
+        load = gupsim.storage.load_record
+
+        def counting_load(path):
+            opened.append(Path(path).name)
+            return load(path)
+
+        monkeypatch.setattr(gupsim.storage, "load_record", counting_load)
+        assert main(["emit-plot-data", "--what", "quadratures",
+                     "--in", str(campaign_dir / "out"), "--out", str(tmp_path)]) == 0
+        assert opened == [f"{k:04d}.qrec" for k in range(5)]
+
     def test_emit_spectra(self, tmp_path, capsys):
         save_config(small_config(store_raw=True), tmp_path / "c.json")
         out = tmp_path / "out"
@@ -360,3 +379,81 @@ class TestCli:
         assert rc != 0
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "KeyError"
+
+
+class TestWorkers:
+    """Bytes, records and errors do not depend on the number of pool workers."""
+
+    def cfg(self, **kw):
+        return small_config(schedule=ProtocolSchedule.from_series(0.4), **kw)
+
+    def test_tree_independent_of_worker_count(self, tmp_path, use_cpus):
+        cfg = self.cfg(store_raw=True, series_probe_detunings=(0.0, TWO_PI * 30e3),
+                       shift_injection=(300.0, 2e-5))
+        save_config(cfg, tmp_path / "c.json")
+        digests = []
+        for n in (1, 2):
+            use_cpus(n)
+            out = tmp_path / f"out{n}"
+            assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                         "--out", str(out), "--series", "2"]) == 0
+            assert len(list(out.glob("series_0*/raw/*.braw"))) == 20
+            digests.append(dir_digest(out))
+        assert digests[0] == digests[1]
+
+    def test_run_series_equals_run_cycle(self, use_cpus):
+        use_cpus(2)
+        cfg = self.cfg(series_probe_detunings=(0.0, TWO_PI * 30e3),
+                       shift_injection=(300.0, 2e-5))
+        ds = run_series(cfg, 1)
+        scfg = cfg.series_variant(1)
+        assert ds.config == scfg
+        assert [r.cycle_index for r in ds.records] == list(range(10))
+        for k, rec in enumerate(ds.records):
+            want = run_cycle(scfg, k, scfg.cycle_seed(1, k))
+            assert rec.x_quad.t0 == want.x_quad.t0
+            np.testing.assert_array_equal(rec.x_quad.samples, want.x_quad.samples)
+            np.testing.assert_array_equal(rec.y_quad.samples, want.y_quad.samples)
+
+    @pytest.mark.parametrize("sample", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_rejected(self, tmp_path, capsys, use_cpus, sample):
+        use_cpus(2)
+        save_dataset(self.cfg(), 0, tmp_path / "d")
+        path = tmp_path / "d" / "records" / "0002.qrec"
+        lines = path.read_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+        t, _, y = lines[i].split()
+        lines[i] = f"{t} {sample} {y}"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CorruptRecord, match="0002.qrec"):
+            load_record(path)
+        assert main(["analyze", "--in", str(tmp_path / "d")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CorruptRecord" and "0002.qrec" in err["message"]
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_first_damaged_record_reported(self, tmp_path, capsys, use_cpus, n_cpus):
+        use_cpus(n_cpus)
+        save_dataset(self.cfg(), 0, tmp_path / "d")
+        for k in (7, 3):
+            path = tmp_path / "d" / "records" / f"{k:04d}.qrec"
+            path.write_text(path.read_text()[:-5])
+        assert main(["analyze", "--in", str(tmp_path / "d")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CorruptRecord" and "0003.qrec" in err["message"]
+
+    def test_worker_death_reported(self, tmp_path, capsys, monkeypatch, use_cpus):
+        use_cpus(2)
+        make = gupsim.storage.run_cycle
+
+        def dying(cfg, cycle_index, seed, **kw):
+            if cycle_index == 3:
+                os._exit(1)
+            return make(cfg, cycle_index, seed, **kw)
+
+        monkeypatch.setattr(gupsim.storage, "run_cycle", dying)
+        save_config(self.cfg(), tmp_path / "c.json")
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BrokenProcessPool"
