@@ -42,10 +42,9 @@ def main():
                               "ratio_fit": fit.corrected_ratio})
         print(f"{name}: n_bar = {fit.occupancy:.2f}, R = {fit.corrected_ratio:.3f}")
 
-    schedule = replace(cfg.schedule,
-                       cycles_per_series=round(CAMPAIGN_SERIES_S / cfg.schedule.cycle))
+    schedule = cfg.schedule.with_duration(CAMPAIGN_SERIES_S)
     datasets = run_campaign(replace(cfg, schedule=schedule), 2)
-    ringdown = datasets[0].grouped_records(cfg.schedule.group_size)[0]
+    ringdown = datasets[0].grouped_records()[0]
     save_quadratures(ringdown, out, "ringdown")
 
     summary = summarize_campaign([analyze_dataset(ds) for ds in datasets])

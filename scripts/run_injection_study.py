@@ -58,9 +58,8 @@ def main():
     args = ap.parse_args()
 
     cfg = load_config(CONFIG)
-    schedule = replace(cfg.schedule,
-                       cycles_per_series=round(args.series_duration / cfg.schedule.cycle))
-    cfg = replace(cfg, schedule=schedule, seed=args.seed, alpha_sq=args.alpha_sq)
+    cfg = replace(cfg, schedule=cfg.schedule.with_duration(args.series_duration),
+                  seed=args.seed, alpha_sq=args.alpha_sq)
 
     print("calibration campaign (beta0 = 0)...")
     null = summarize_campaign([analyze_dataset(ds) for ds in run_campaign(cfg, 2)])

@@ -30,9 +30,8 @@ def main():
     args = ap.parse_args()
 
     cfg = load_config(CONFIG)
-    schedule = replace(cfg.schedule,
-                       cycles_per_series=round(args.series_duration / cfg.schedule.cycle))
-    cfg = replace(cfg, schedule=schedule, seed=args.seed, alpha_sq=args.alpha_sq)
+    cfg = replace(cfg, schedule=cfg.schedule.with_duration(args.series_duration),
+                  seed=args.seed, alpha_sq=args.alpha_sq)
 
     print(f"running {args.series} series of {args.series_duration} s "
           f"({cfg.schedule.cycles_per_series} cycles each)...")

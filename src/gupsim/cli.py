@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .detection import average_spectra, fit_lorentzian_pair, synthesize_bhd, welch_psd
 from .dynamics import TWO_PI, purity
-from .errors import GupsimError, SegmentTooLong
+from .errors import GupsimError, InsufficientData, SegmentTooLong
 from .estimation import ShiftStatistics, beta_bound, width_vs_shift_scan
 from .optomech import CooledState, operating_report, spring_damping_slope
 from .protocol import analyze_dataset, series_provenance, summarize_campaign
@@ -44,6 +44,7 @@ from .storage import (
     save_quadratures,
     save_raw,
     save_spectrum,
+    write_columns,
 )
 
 
@@ -249,10 +250,8 @@ def cmd_shift_scan(args) -> int:
     scan = width_vs_shift_scan(fits)
     theory = spring_damping_slope(cfg.cavity, cfg.mode)
     table = Path(args.indir) / "shift_scan.dat"
-    lines = ["# columns: f_m_hz width_hz width_err_hz"]
-    for fm, w, we in scan.points:
-        lines.append(f"{fm!r} {w!r} {we!r}")
-    table.write_text("\n".join(lines) + "\n")
+    write_columns(table, [], "f_m_hz width_hz width_err_hz",
+                  (f"{fm!r} {w!r} {we!r}" for fm, w, we in scan.points))
     report = {"slope": scan.slope, "slope_err": scan.slope_err,
               "offset_hz": scan.offset, "offset_err_hz": scan.offset_err,
               "theory_slope": theory,
@@ -275,8 +274,7 @@ def cmd_bound(args) -> int:
     counts = np.array(s["histogram_counts"])
     edges = np.array(s["histogram_edges_hz"])
     stats = ShiftStatistics(mean=s["mean_hz"], std=s["std_hz"],
-                            n_samples=s["n"], histogram=(counts, edges),
-                            quadrature=quad.upper())
+                            n_samples=s["n"], histogram=(counts, edges))
     op = summary["operating"]
     mode = mode_from_dict(summary["mode"])
     operating = CooledState(n_bar=op["n_bar"], gamma_eff=TWO_PI * op["gamma_eff_hz"],
@@ -317,7 +315,11 @@ def cmd_emit_plot_data(args) -> int:
         d = _dataset_dirs(root)[0]
         group_size = load_config(d / "config.snapshot").schedule.group_size
         ds = load_dataset(d, n_records=group_size)
-        save_quadratures(ds.grouped_records(group_size)[0], outdir, "quadrature")
+        groups = ds.grouped_records()
+        if not groups:
+            raise InsufficientData(f"{d.name} has {len(ds.records)} cycles, fewer "
+                                   f"than one group of {group_size}")
+        save_quadratures(groups[0], outdir, "quadrature")
         print(f"wrote quadrature traces to {outdir}")
     else:
         return _fail("UnknownTarget", f"unknown --what {args.what}")

@@ -14,7 +14,7 @@ distortion of x(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,7 +147,6 @@ class Trajectory:
     deformation: DeformationParams
     dt: float
     damping: float = 0.0
-    metadata: dict = field(default_factory=dict)
 
     def __len__(self) -> int:
         return self.t.size
@@ -265,8 +264,7 @@ def integrate_trajectory(s0: PhaseState, mode: MechanicalMode, d: DeformationPar
         raise NonFinite("state diverged")
 
     return Trajectory(t=ts[:j], x=xs[:j], p=ps[:j], mode=mode, deformation=d,
-                      dt=dt, damping=damping,
-                      metadata={"n_steps": n_steps, "store_every": store_every})
+                      dt=dt, damping=damping)
 
 
 def frequency_vs_amplitude(mode: MechanicalMode, d: DeformationParams, A: float,

@@ -289,16 +289,10 @@ class ShiftFit:
     c: float                    # dimensionless phase-offset parameter
     covariance: np.ndarray      # 2x2
     window: tuple[float, float]
-    quadrature: str = "X"
-    n_points: int = 0
 
     @property
     def delta_fm0_err(self) -> float:
         return math.sqrt(abs(self.covariance[0, 0]))
-
-    @property
-    def c_err(self) -> float:
-        return math.sqrt(abs(self.covariance[1, 1]))
 
 
 def fit_transient_shift(rec: QuadratureRecord, base: RingdownFit,
@@ -337,8 +331,7 @@ def fit_transient_shift(rec: QuadratureRecord, base: RingdownFit,
         sigma2 = float(r @ r) / dof
         cov = sigma2 * np.linalg.inv(gtg)
         fits.append(ShiftFit(delta_fm0=float(coef[0]), c=float(coef[1]),
-                             covariance=cov, window=early_window,
-                             quadrature=name, n_points=t.size))
+                             covariance=cov, window=early_window))
     return fits[0], fits[1]
 
 
@@ -352,7 +345,6 @@ class ShiftStatistics:
     std: float
     n_samples: int
     histogram: tuple[np.ndarray, np.ndarray]    # (counts, bin_edges)
-    quadrature: str = ""
 
     @property
     def standard_error(self) -> float:
@@ -390,9 +382,8 @@ def aggregate_shifts(fits: list[ShiftFit]) -> ShiftStatistics:
         span = max(abs(mean), 1.0)
     counts, edges = np.histogram(values, bins=HISTOGRAM_BINS,
                                  range=(mean - span, mean + span))
-    quad = fits[0].quadrature if fits else ""
     return ShiftStatistics(mean=mean, std=std, n_samples=len(values),
-                           histogram=(counts, edges), quadrature=quad)
+                           histogram=(counts, edges))
 
 
 # --- width vs shift (optical spring line) -------------------------------------
@@ -436,12 +427,6 @@ def width_vs_shift_scan(fits: list[RingdownFit]) -> WidthShiftScan:
     return WidthShiftScan(slope=float(coef[0]), offset=float(coef[1]),
                           slope_err=math.sqrt(abs(cov[0, 0])),
                           offset_err=math.sqrt(abs(cov[1, 1])), points=pts)
-
-
-def select_null_width(fits: list[RingdownFit], max_width_hz: float = 1.0
-                      ) -> list[RingdownFit]:
-    """Series selection: keep fits whose effective width is null within max_width_hz."""
-    return [f for f in fits if abs(f.gamma_eff_hz) < max_width_hz]
 
 
 # --- deformation-parameter bound ----------------------------------------------

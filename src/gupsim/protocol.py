@@ -9,10 +9,9 @@ bath, and, for beta0 > 0, the instantaneous frequency follows the
 amplitude-dependent law of the deformed oscillator evaluated on the
 deterministic envelope of the total amplitude.
 
-Two scenarios: `protocol_1_decay` keeps the cooling beam on during the
-measurement (fast ring-down, amplitude sweeps down through the window);
-`protocol_2_pulsed` switches the whole pump off (slow ring-down, amplitude
-set by the excitation strength, which may be varied between series).
+The whole pump, cooling beam included, is switched off: the mode rings down
+at its intrinsic rate plus any optical damping of the probe, with an
+amplitude set by the excitation strength, which may be varied between series.
 """
 
 from __future__ import annotations
@@ -50,10 +49,6 @@ from .optomech import CooledState, OpticalCavity, optical_damping_and_spring
 from .pool import chunked_map
 
 
-PROTOCOL_1_DECAY = "protocol_1_decay"
-PROTOCOL_2_PULSED = "protocol_2_pulsed"
-SCENARIOS = (PROTOCOL_1_DECAY, PROTOCOL_2_PULSED)
-
 # out-of-band drum modes excited by the radiation-pressure step at switch-off;
 # the lock-in filter must reject them. The onset is smoothed over a few tens
 # of microseconds so the burst energy stays concentrated at the mode
@@ -85,13 +80,9 @@ class ProtocolSchedule:
     def cycle(self) -> float:
         return self.pump_on + self.measure
 
-    @classmethod
-    def from_series(cls, series_duration: float = 50.0, pump_on: float = 0.030,
-                    measure: float = 0.010, group_size: int = 10,
-                    pre_roll: float = 0.002) -> "ProtocolSchedule":
-        cycles = int(round(series_duration / (pump_on + measure)))
-        return cls(pump_on=pump_on, measure=measure, cycles_per_series=cycles,
-                   group_size=group_size, pre_roll=pre_roll)
+    def with_duration(self, series_duration: float) -> "ProtocolSchedule":
+        """This schedule with as many whole cycles as fit in series_duration (s)."""
+        return replace(self, cycles_per_series=round(series_duration / self.cycle))
 
 
 @dataclass(frozen=True)
@@ -108,7 +99,6 @@ class CampaignConfig:
     alpha_sq: float = 35.0
     excitation_phase: float = 0.0
     seed: int = 0
-    scenario: str = PROTOCOL_2_PULSED
     series_probe_detunings: tuple[float, ...] | None = None    # rad/s, per series
     alpha_sq_per_series: tuple[float, ...] | None = None
     shift_injection: tuple[float, float] | None = None          # (delta0_hz, tau_s)
@@ -116,8 +106,6 @@ class CampaignConfig:
     store_raw: bool = False
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario {self.scenario!r}; one of {SCENARIOS}")
         if self.n_bar < 0 or self.alpha_sq < 0:
             raise ValueError("n_bar and alpha_sq must be >= 0")
         if self.schedule.pump_on * self.gamma_eff < 10.0:
@@ -144,8 +132,6 @@ class CampaignConfig:
             det = self.series_probe_detunings[series_index % len(self.series_probe_detunings)]
             out = replace(out, cavity=replace(self.cavity, probe_detuning=det))
         if self.alpha_sq_per_series is not None:
-            if self.scenario != PROTOCOL_2_PULSED:
-                raise ValueError("excitation sweeps are a protocol_2_pulsed feature")
             a = self.alpha_sq_per_series[series_index % len(self.alpha_sq_per_series)]
             out = replace(out, alpha_sq=a)
         return out
@@ -159,8 +145,10 @@ class Dataset:
     config: CampaignConfig
     series_index: int = 0
 
-    def grouped_records(self, group_size: int) -> list[QuadratureRecord]:
-        """Average consecutive cycles in groups (coherent excitation phase)."""
+    def grouped_records(self) -> list[QuadratureRecord]:
+        """Average consecutive cycles (same excitation phase) in groups of
+        `schedule.group_size`; a trailing partial group is dropped."""
+        group_size = self.config.schedule.group_size
         out = []
         n = len(self.records)
         for g, start in enumerate(range(0, n - group_size + 1, group_size)):
@@ -182,15 +170,10 @@ def _measurement_rates(cfg: CampaignConfig) -> tuple[float, float, float, float]
     else:
         gamma_opt, d_omega = 0.0, 0.0
     gm = cfg.mode.gamma_m
-    if cfg.scenario == PROTOCOL_1_DECAY:
-        gamma_meas = cfg.gamma_eff + gamma_opt
-        drive_as = cfg.gamma_eff * cfg.n_bar + max(-gamma_opt, 0.0)
-        drive_s = cfg.gamma_eff * (cfg.n_bar + 1.0) + abs(gamma_opt)
-    else:
-        n_th = cfg.mode.thermal_occupancy(cfg.deformation.constants)
-        gamma_meas = gm + gamma_opt
-        drive_as = gm * n_th + max(-gamma_opt, 0.0)
-        drive_s = gm * (n_th + 1.0) + abs(gamma_opt)
+    n_th = cfg.mode.thermal_occupancy(cfg.deformation.constants)
+    gamma_meas = gm + gamma_opt
+    drive_as = gm * n_th + max(-gamma_opt, 0.0)
+    drive_s = gm * (n_th + 1.0) + abs(gamma_opt)
     return gamma_meas, d_omega, drive_s, drive_as
 
 
@@ -351,7 +334,7 @@ def run_cycle(cfg: CampaignConfig, cycle_index: int, seed, return_raw: bool = Fa
 
     raw = TimeSeries(t0=tpl.t0, dt=dt, samples=samples,
                      metadata={"seed": repr(seed), "cycle_index": cycle_index,
-                               "kind": "bhd", "scenario": cfg.scenario})
+                               "kind": "bhd"})
     rec = lockin_demodulate(raw, det, cycle_index=cycle_index).window(
         0.0, cfg.schedule.measure)
     if return_raw:
@@ -422,7 +405,7 @@ def analyze_dataset(ds: Dataset) -> SeriesAnalysis:
     """
     cfg = ds.config
     f_lower, f_upper = cfg.detection.line_offsets
-    grouped = ds.grouped_records(cfg.schedule.group_size)
+    grouped = ds.grouped_records()
     fits = []
     sx = []
     sy = []
@@ -441,7 +424,6 @@ def analyze_dataset(ds: Dataset) -> SeriesAnalysis:
 
 @dataclass
 class CampaignSummary:
-    analyses: list[SeriesAnalysis]
     stats_x: ShiftStatistics
     stats_y: ShiftStatistics
 
@@ -450,6 +432,4 @@ def summarize_campaign(analyses: list[SeriesAnalysis]) -> CampaignSummary:
     """Pool the per-quadrature shift statistics over all series."""
     sx = [f for a in analyses for f in a.shift_fits_x]
     sy = [f for a in analyses for f in a.shift_fits_y]
-    return CampaignSummary(analyses=analyses,
-                           stats_x=aggregate_shifts(sx),
-                           stats_y=aggregate_shifts(sy))
+    return CampaignSummary(stats_x=aggregate_shifts(sx), stats_y=aggregate_shifts(sy))

@@ -1,4 +1,4 @@
-"""Persistence: config files, dataset directories, record and spectrum exports.
+"""Persistence: config files, dataset directories, records and text exports.
 
 All text formats are deterministic: floats are written with repr (shortest
 round-trip form) and keys are sorted, so identical (config, seed) inputs
@@ -11,6 +11,9 @@ the raw series) of the cycles it makes. `load_dataset` reads the records back
 on the same pool into a `Dataset` and parses the snapshot with
 `config_from_dict`, the same parser `load_config` uses for config files. The
 bytes do not depend on the number of workers.
+
+`write_columns` writes every text export (spectra, quadrature traces, shift
+histograms, the shift-scan table).
 
 Dataset directory layout:
     config.snapshot          canonical JSON config + hash + provenance
@@ -28,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .detection import DetectionConfig, QuadratureRecord, SpectrumEstimate, TimeSeries
-from .dynamics import TWO_PI, DeformationParams, MechanicalMode, Trajectory
+from .dynamics import TWO_PI, DeformationParams, MechanicalMode
 from .errors import CorruptRecord
 from .optomech import OpticalCavity
 from .pool import chunked_map
@@ -92,7 +95,6 @@ def config_to_dict(cfg: CampaignConfig) -> dict:
             "group_size": cfg.schedule.group_size,
             "pre_roll_s": cfg.schedule.pre_roll,
         },
-        "scenario": cfg.scenario,
         "seed": cfg.seed,
         "series_probe_detunings_hz": (
             None if cfg.series_probe_detunings is None
@@ -115,7 +117,12 @@ def mode_from_dict(m: dict) -> MechanicalMode:
 
 
 def config_from_dict(d: dict) -> CampaignConfig:
-    """Parse the keys `config_to_dict` writes; any other key is ignored."""
+    """Parse the keys `config_to_dict` writes; any other key is ignored, except an
+    old `scenario` naming a protocol other than the pulsed one, the only one simulated."""
+    scenario = d.get("scenario", "protocol_2_pulsed")
+    if scenario != "protocol_2_pulsed":
+        raise ValueError(f"scenario {scenario!r} is not simulated; "
+                         "only protocol_2_pulsed is")
     mode = mode_from_dict(d["mode"])
     c = d["cavity"]
     cavity = OpticalCavity(kappa=TWO_PI * c["linewidth_hz"],
@@ -144,7 +151,7 @@ def config_from_dict(d: dict) -> CampaignConfig:
         mode=mode, cavity=cavity, deformation=deformation, detection=detection,
         schedule=schedule, n_bar=o["n_bar"], gamma_eff=TWO_PI * o["gamma_eff_hz"],
         alpha_sq=o["alpha_sq"], excitation_phase=o["excitation_phase_rad"],
-        seed=d["seed"], scenario=d["scenario"],
+        seed=d["seed"],
         series_probe_detunings=(
             None if d.get("series_probe_detunings_hz") is None
             else tuple(TWO_PI * x for x in d["series_probe_detunings_hz"])),
@@ -174,8 +181,7 @@ def save_config(cfg: CampaignConfig, path: Path) -> str:
 
 
 def load_config(path: Path) -> CampaignConfig:
-    d = json.loads(Path(path).read_text())
-    return config_from_dict(d)
+    return config_from_dict(json.loads(Path(path).read_text()))
 
 
 # --- record files ----------------------------------------------------------------
@@ -331,7 +337,7 @@ def load_dataset(ds_dir: Path, n_records: int | None = None) -> Dataset:
 
 # --- column exports ---------------------------------------------------------------
 
-def _write_columns(path: Path, header: list[tuple[str, object]], columns: str, rows):
+def write_columns(path: Path, header: list[tuple[str, object]], columns: str, rows):
     """Text export: '# key: value' header lines, '# columns: ...', then the rows."""
     lines = [f"# {k}: {_fmt(v)}" for k, v in header]
     lines.append(f"# columns: {columns}")
@@ -342,35 +348,22 @@ def _write_columns(path: Path, header: list[tuple[str, object]], columns: str, r
 def save_spectrum(spec: SpectrumEstimate, path: Path, header: dict | None = None):
     head = [("format", "spectrum-1"), ("resolution_hz", spec.resolution),
             ("n_averages", spec.n_averages), *sorted((header or {}).items())]
-    _write_columns(path, head, "freq_hz psd_per_hz",
-                   map("{!r} {!r}".format, spec.freqs.tolist(), spec.psd.tolist()))
+    write_columns(path, head, "freq_hz psd_per_hz",
+                  map("{!r} {!r}".format, spec.freqs.tolist(), spec.psd.tolist()))
 
 
 def save_quadratures(rec: QuadratureRecord, out_dir: Path, stem: str):
     """Two-column text traces (t, X) and (t, Y) as `<stem>_x.dat` and `<stem>_y.dat`."""
     t = rec.times.tolist()
     for name, ts in (("x", rec.x_quad), ("y", rec.y_quad)):
-        _write_columns(Path(out_dir) / f"{stem}_{name}.dat", [], f"t_s {name}",
-                       map("{!r} {!r}".format, t, ts.samples.tolist()))
-
-
-def save_trajectory(traj: Trajectory, path: Path):
-    """Columnar text export (t, x, p) with the generating parameters in the header."""
-    mode = traj.mode
-    header = [("format", "trajectory-1"), ("omega_m_rad_s", mode.omega_m),
-              ("gamma_m_rad_s", mode.gamma_m), ("mass_kg", mode.mass),
-              ("bath_temperature_k", mode.T_bath), ("beta0", traj.deformation.beta0),
-              ("dt_s", traj.dt), ("damping_rad_s", traj.damping),
-              *sorted(traj.metadata.items())]
-    _write_columns(path, header, "t_s x_m p_kg_m_s",
-                   map("{!r} {!r} {!r}".format, traj.t.tolist(), traj.x.tolist(),
-                       traj.p.tolist()))
+        write_columns(Path(out_dir) / f"{stem}_{name}.dat", [], f"t_s {name}",
+                      map("{!r} {!r}".format, t, ts.samples.tolist()))
 
 
 def save_histogram(counts: np.ndarray, edges: np.ndarray, path: Path,
                    header: dict | None = None):
     """Two-column text (bin center, count) for shift histograms."""
     centers = 0.5 * (edges[:-1] + edges[1:])
-    _write_columns(path, [("format", "histogram-1"), *sorted((header or {}).items())],
-                   "bin_center count",
-                   (f"{c!r} {int(n)}" for c, n in zip(centers.tolist(), counts)))
+    write_columns(path, [("format", "histogram-1"), *sorted((header or {}).items())],
+                  "bin_center count",
+                  (f"{c!r} {int(n)}" for c, n in zip(centers.tolist(), counts)))

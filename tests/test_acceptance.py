@@ -131,11 +131,11 @@ def test_criterion_3_optical_spring_line():
     """Full-chain detuning sweep recovers the spring/damping slope within 10%."""
     detunings = tuple(f * CAVITY.kappa for f in np.linspace(-0.1, 0.1, 9))
     cfg = campaign_config(seed=33, alpha_sq=3500.0,
-                          schedule=ProtocolSchedule.from_series(1.2, group_size=10),
+                          schedule=ProtocolSchedule(group_size=10).with_duration(1.2),
                           series_probe_detunings=detunings)
     datasets = run_campaign(cfg, 9)
     fits = [fit_ringdown(rec, window=(1e-4, 5e-4))
-            for ds in datasets for rec in ds.grouped_records(10)]
+            for ds in datasets for rec in ds.grouped_records()]
     scan = width_vs_shift_scan(fits)
     theory = spring_damping_slope(CAVITY, MODE)
     ratio = scan.slope / theory
@@ -282,7 +282,7 @@ def test_criterion_9_simulate_determinism(tmp_path):
     from gupsim.cli import main
     from gupsim.storage import save_config
 
-    cfg = campaign_config(schedule=ProtocolSchedule.from_series(0.2, group_size=5),
+    cfg = campaign_config(schedule=ProtocolSchedule(group_size=5).with_duration(0.2),
                           store_raw=True)
     save_config(cfg, tmp_path / "config.json")
 

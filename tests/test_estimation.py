@@ -25,7 +25,6 @@ from gupsim.estimation import (
     fit_ringdown,
     fit_transient_shift,
     ringdown_model,
-    select_null_width,
     width_vs_shift_scan,
 )
 from gupsim.optomech import CooledState
@@ -202,7 +201,7 @@ class TestTransientShift:
 class TestAggregateShifts:
     def fit(self, v):
         return ShiftFit(delta_fm0=v, c=0.0, covariance=np.eye(2),
-                        window=(0.0, 5e-5), quadrature="X")
+                        window=(0.0, 5e-5))
 
     def test_constant_inputs(self):
         stats = aggregate_shifts([self.fit(7.0)] * 5)
@@ -265,22 +264,12 @@ class TestWidthShiftScan:
         with pytest.raises(DegenerateSpan):
             width_vs_shift_scan(fits[:1])
 
-    def test_null_width_selection_rule(self):
-        taus = [2.0 / (2 * math.pi * w) for w in (0.2, 0.9, 5.0, -0.5, 300.0)]
-        fits = [RingdownFit(A=1, tau=t, f_m=0.0, phi=0, B=1, delta_phi=0,
-                            covariance=np.zeros((6, 6)), window=(1e-4, 1e-3))
-                for t in taus]
-        kept = select_null_width(fits, max_width_hz=1.0)
-        widths = sorted(abs(f.gamma_eff_hz) for f in kept)
-        assert len(kept) == 3
-        assert all(w < 1.0 for w in widths)
-
 
 class TestBetaBound:
     def stats(self, mean, std, n=250):
         counts, edges = np.histogram([mean], bins=4)
         return ShiftStatistics(mean=mean, std=std, n_samples=n,
-                               histogram=(counts, edges), quadrature="X")
+                               histogram=(counts, edges))
 
     def operating(self, alpha_sq=1200.0, n_bar=5.0):
         return CooledState(n_bar=n_bar, gamma_eff=2 * math.pi * 6000.0,

@@ -12,7 +12,6 @@ from gupsim.dynamics import DeformationParams, MechanicalMode
 from gupsim.estimation import fit_ringdown, fit_transient_shift
 from gupsim.optomech import OpticalCavity, optical_damping_and_spring
 from gupsim.protocol import (
-    PROTOCOL_1_DECAY,
     CampaignConfig,
     ProtocolSchedule,
     analyze_dataset,
@@ -59,8 +58,11 @@ class TestSchedule:
         assert s.cycles_per_series == 1250
 
     def test_from_series(self):
-        s = ProtocolSchedule.from_series(series_duration=0.8)
+        s = ProtocolSchedule().with_duration(0.8)
         assert s.cycles_per_series == 20
+        # the rest of the schedule is kept; the count follows its cycle length
+        s = ProtocolSchedule(measure=0.02, group_size=4).with_duration(0.8)
+        assert s == ProtocolSchedule(measure=0.02, group_size=4, cycles_per_series=16)
 
     def test_group_math(self):
         # a 50 s series at 40 ms per cycle gives 1250 cycles and 125 averaged
@@ -70,10 +72,6 @@ class TestSchedule:
 
 
 class TestConfig:
-    def test_scenario_validation(self):
-        with pytest.raises(ValueError):
-            quiet_config(scenario="protocol_3")
-
     def test_short_pump_warns(self):
         with pytest.warns(UserWarning):
             quiet_config(gamma_eff=TWO_PI * 10.0)
@@ -89,12 +87,6 @@ class TestConfig:
         assert st.n_bar == 5.0
         assert st.alpha_sq == pytest.approx(1200.0)
         assert st.omega_eff == cfg.detection.omega_exc
-
-    def test_excitation_sweep_requires_pulsed(self):
-        cfg = quiet_config(scenario=PROTOCOL_1_DECAY,
-                           alpha_sq_per_series=(10.0, 20.0))
-        with pytest.raises(ValueError):
-            cfg.series_variant(0)
 
 
 class TestRunCycle:
@@ -136,13 +128,6 @@ class TestRunCycle:
         fit = fit_ringdown(rec)
         assert fit.f_m == pytest.approx(d_omega / TWO_PI, rel=2e-3)
         assert fit.gamma_eff == pytest.approx(g_opt + COLD_MODE.gamma_m, rel=2e-3)
-
-    def test_protocol1_decay_constant(self):
-        # with the cooling beam kept on, the amplitude decays with 2/gamma_eff
-        cfg = quiet_config(scenario=PROTOCOL_1_DECAY)
-        rec = run_cycle(cfg, 0, [8, 0, 0])
-        fit = fit_ringdown(rec, window=(1.5e-4, 4.5e-4))
-        assert fit.tau == pytest.approx(2.0 / cfg.gamma_eff, rel=0.01)
 
     def test_deformed_cycle_shifts_fitted_frequency(self):
         # at zero probe detuning with negligible re-thermalization the
@@ -219,8 +204,8 @@ class TestRunCycle:
 
 class TestCampaign:
     def small_cfg(self, **kw):
-        return noisy_config(schedule=ProtocolSchedule.from_series(
-            series_duration=0.2, group_size=5), **kw)
+        return noisy_config(schedule=ProtocolSchedule(group_size=5).with_duration(0.2),
+                            **kw)
 
     def test_n_series_validation(self):
         with pytest.raises(ValueError):
@@ -243,9 +228,13 @@ class TestCampaign:
     def test_grouped_records(self):
         cfg = self.small_cfg()
         ds = run_series(cfg, 0)
-        groups = ds.grouped_records(5)
+        groups = ds.grouped_records()
         assert len(groups) == 1
         assert groups[0].x_quad.metadata["n_averaged"] == 5
+        # the group size is the config's; a trailing partial group is dropped
+        pairs = replace(ds, config=replace(cfg, schedule=replace(cfg.schedule,
+                                                                 group_size=2)))
+        assert [g.x_quad.metadata["n_averaged"] for g in pairs.grouped_records()] == [2, 2]
 
     def test_campaign_deterministic(self):
         cfg = self.small_cfg()
@@ -321,7 +310,7 @@ class TestCycleCache:
         assert same_record(forward[1], backward[0])
 
     def test_each_series_builds_its_own_template(self):
-        cfg = self.cfg(schedule=ProtocolSchedule.from_series(0.12),
+        cfg = self.cfg(schedule=ProtocolSchedule().with_duration(0.12),
                        series_probe_detunings=(0.0, TWO_PI * 30e3))
         clear_cycle_caches()
         datasets = run_campaign(cfg, 2)

@@ -17,12 +17,7 @@ from gupsim.detection import (
     TimeSeries,
     average_records,
 )
-from gupsim.dynamics import (
-    DeformationParams,
-    MechanicalMode,
-    PhaseState,
-    integrate_trajectory,
-)
+from gupsim.dynamics import DeformationParams, MechanicalMode
 from gupsim.errors import CorruptRecord
 from gupsim.optomech import OpticalCavity
 from gupsim.protocol import CampaignConfig, ProtocolSchedule, run_cycle, run_series
@@ -39,10 +34,12 @@ from gupsim.storage import (
     save_raw,
     save_record,
     save_spectrum,
-    save_trajectory,
 )
 
 TWO_PI = 2 * math.pi
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG = ROOT / "configs" / "null_campaign.json"
+GOLDEN = ROOT / "tests" / "golden"
 MODE = MechanicalMode(omega_m=TWO_PI * 525800.0,
                       gamma_m=TWO_PI * 525800.0 / 6.4e6,
                       mass=1e-10, T_bath=9.0)
@@ -51,7 +48,7 @@ MODE = MechanicalMode(omega_m=TWO_PI * 525800.0,
 def small_config(**kw):
     defaults = dict(
         mode=MODE, cavity=OpticalCavity(), deformation=DeformationParams(0.0),
-        detection=DetectionConfig(), schedule=ProtocolSchedule.from_series(0.2),
+        detection=DetectionConfig(), schedule=ProtocolSchedule().with_duration(0.2),
         seed=2024, n_bar=5.0, alpha_sq=1200.0)
     defaults.update(kw)
     return CampaignConfig(**defaults)
@@ -82,6 +79,23 @@ class TestConfigRoundTrip:
         h = save_config(cfg, tmp_path / "c.json")
         cfg2 = load_config(tmp_path / "c.json")
         assert config_hash(config_to_dict(cfg2)) == h
+
+    def test_shipped_config_is_canonical(self, tmp_path):
+        # a setting the program no longer reads cannot linger in the file
+        save_config(load_config(CONFIG), tmp_path / "c.json")
+        assert (tmp_path / "c.json").read_bytes() == CONFIG.read_bytes()
+
+    @pytest.mark.parametrize("path", [CONFIG, GOLDEN / "analyze_config.json",
+                                      GOLDEN / "thermometry_config.json"],
+                             ids=["shipped", "golden_analyze", "golden_thermometry"])
+    @pytest.mark.parametrize("scenario", [None, "protocol_2_pulsed"])
+    def test_pulsed_scenario_loads(self, path, scenario):
+        d = json.loads(path.read_text())
+        d.pop("scenario", None)
+        want = config_from_dict(d)
+        if scenario is not None:
+            d["scenario"] = scenario
+        assert config_from_dict(d) == want
 
     def test_hash_sensitive_to_fields(self):
         d1 = config_to_dict(small_config(seed=1))
@@ -136,7 +150,7 @@ class TestRecordIO:
             load_record(path)
 
     def test_record_from_other_config_rejected(self, tmp_path, capsys):
-        save_dataset(small_config(schedule=ProtocolSchedule.from_series(0.08)), 0,
+        save_dataset(small_config(schedule=ProtocolSchedule().with_duration(0.08)), 0,
                      tmp_path / "d")
         path = tmp_path / "d" / "records" / "0001.qrec"
         text = path.read_text()
@@ -201,24 +215,13 @@ class TestRecordIO:
         rows = [l for l in text.splitlines() if not l.startswith("#")]
         assert len(rows) == 3 and float(rows[1].split()[1]) == 1.5
 
-    def test_trajectory_export(self, tmp_path):
-        traj = integrate_trajectory(PhaseState(x=1e-12, p=0.0), MODE,
-                                    DeformationParams(0.0),
-                                    dt=MODE.period / 200, n_steps=100)
-        save_trajectory(traj, tmp_path / "t.dat")
-        text = (tmp_path / "t.dat").read_text()
-        assert "# beta0: 0.0" in text
-        rows = [l for l in text.splitlines() if not l.startswith("#")]
-        assert len(rows) == 101
-        assert float(rows[0].split()[1]) == 1e-12
-
 
 @pytest.fixture(scope="module")
 def campaign_dir(tmp_path_factory):
     """A small simulated campaign shared by the CLI tests."""
     root = tmp_path_factory.mktemp("campaign")
     cfg = small_config(store_raw=False,
-                       schedule=ProtocolSchedule.from_series(0.4, group_size=5))
+                       schedule=ProtocolSchedule(group_size=5).with_duration(0.4))
     save_config(cfg, root / "config.json")
     rc = main(["simulate", "--config", str(root / "config.json"),
                "--out", str(root / "out"), "--series", "2"])
@@ -274,6 +277,10 @@ class TestCli:
         assert rc == 0
         report = json.loads((out / "shift_scan.report").read_text())
         assert "slope" in report and "theory_slope" in report
+        # one row per group of the two series: f_m, width, width error
+        table = (out / "shift_scan.dat").read_text().splitlines()
+        assert table[0] == "# columns: f_m_hz width_hz width_err_hz"
+        assert [len(row.split()) for row in table[1:]] == [3] * 4
         assert report["theory_slope"] == pytest.approx(2.6734, abs=1e-3)
 
     def test_bound(self, campaign_dir, capsys):
@@ -310,6 +317,19 @@ class TestCli:
             cols = np.loadtxt(out / "plot_data" / f"quadrature_{name}.dat")
             np.testing.assert_array_equal(cols[:, 0], want.times)
             np.testing.assert_array_equal(cols[:, 1], ts.samples)
+
+    def test_emit_quadratures_short_series(self, tmp_path, capsys):
+        d = json.loads((GOLDEN / "analyze_config.json").read_text())
+        d["schedule"]["cycles_per_series"] = 3
+        (tmp_path / "c.json").write_text(json.dumps(d))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["emit-plot-data", "--what", "quadratures", "--in", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InsufficientData"
+        assert err["message"] == "series_00 has 3 cycles, fewer than one group of 5"
 
     def test_emit_quadratures_reads_one_group(self, campaign_dir, tmp_path,
                                               monkeypatch, use_cpus):
@@ -380,12 +400,24 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "KeyError"
 
+    def test_deleted_scenario_error(self, tmp_path, capsys):
+        d = json.loads(CONFIG.read_text())
+        d["scenario"] = "protocol_1_decay"
+        (tmp_path / "c.json").write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith("scenario 'protocol_1_decay' is not simulated")
+        assert not out.exists()
+
 
 class TestWorkers:
     """Bytes, records and errors do not depend on the number of pool workers."""
 
     def cfg(self, **kw):
-        return small_config(schedule=ProtocolSchedule.from_series(0.4), **kw)
+        return small_config(schedule=ProtocolSchedule().with_duration(0.4), **kw)
 
     def test_tree_independent_of_worker_count(self, tmp_path, use_cpus):
         cfg = self.cfg(store_raw=True, series_probe_detunings=(0.0, TWO_PI * 30e3),
