@@ -30,6 +30,7 @@ from .dynamics import TWO_PI, purity
 from .errors import GupsimError, InsufficientData, SegmentTooLong
 from .estimation import ShiftStatistics, beta_bound, width_vs_shift_scan
 from .optomech import CooledState, operating_report, spring_damping_slope
+from .pool import chunked_map
 from .protocol import analyze_dataset, series_provenance, summarize_campaign
 from .storage import (
     config_hash,
@@ -97,18 +98,32 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _write_stationary_chunk(cfg, out_dir: Path, chunk_s: float, k: int):
+    ts = synthesize_bhd(cfg.operating_state, cfg.mode, cfg.cavity, cfg.detection,
+                        duration=chunk_s, seed=[cfg.seed, k])
+    save_raw(ts, out_dir / f"{k:04d}.braw")
+
+
 def _simulate_stationary(cfg, out: Path, duration: float) -> int:
-    """Pump-on stationary records in 1 s chunks, for sideband thermometry."""
-    (out / "stationary").mkdir(parents=True, exist_ok=True)
-    save_config(cfg, out / "config.snapshot")
+    """Pump-on stationary records in 1 s chunks, for sideband thermometry.
+
+    Each chunk draws from its own seed `[seed, k]` and is made and written by
+    a pool worker, so the bytes do not depend on the number of workers.
+    """
     chunk = 1.0
-    n_chunks = max(int(round(duration / chunk)), 1)
-    state = cfg.operating_state
-    for k in range(n_chunks):
-        ts = synthesize_bhd(state, cfg.mode, cfg.cavity, cfg.detection,
-                            duration=chunk, seed=[cfg.seed, k])
-        save_raw(ts, out / "stationary" / f"{k:04d}.braw")
-    print(f"wrote {n_chunks} stationary records to {out / 'stationary'}")
+    if not (duration >= chunk and (duration / chunk).is_integer()):
+        raise ValueError(f"--stationary must be a positive whole number of "
+                         f"{chunk:g} s chunks, got {duration!r}")
+    n_chunks = int(duration / chunk)
+    raw_dir = out / "stationary"
+    # chunks of an earlier run would be averaged with this one's
+    if any(raw_dir.glob("*.braw")):
+        raise FileExistsError(f"{raw_dir} already holds .braw records")
+    raw_dir.mkdir(parents=True, exist_ok=True)
+    chunked_map(_write_stationary_chunk, (cfg, raw_dir, chunk), range(n_chunks))
+    # written last: a run that fails partway leaves no snapshot to read its chunks by
+    save_config(cfg, out / "config.snapshot")
+    print(f"wrote {n_chunks} stationary records to {raw_dir}")
     return 0
 
 
@@ -292,7 +307,6 @@ def cmd_bound(args) -> int:
 def cmd_emit_plot_data(args) -> int:
     root = Path(args.indir)
     outdir = Path(args.out) if args.out else root / "plot_data"
-    outdir.mkdir(parents=True, exist_ok=True)
     if args.what == "spectra":
         dirs = _dataset_dirs(root)
         raw_paths = _series_raw_paths(dirs)

@@ -1,7 +1,9 @@
-"""One process pool for the per-cycle loops of a series.
+"""One process pool for the per-cycle and per-chunk loops.
 
-Every cycle draws from its own seed, so the cycles of a series can be made,
-written and read in any process and in any order without changing a byte.
+It makes, writes and reads the cycles of a series, and makes and writes the
+1 s stationary chunks of `simulate --stationary`. Every cycle and every chunk
+draws from its own seed, so each can be made, written and read in any process
+and in any order without changing a byte.
 """
 
 from __future__ import annotations

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -261,16 +262,20 @@ def load_raw(path: Path) -> TimeSeries:
     """Parse a `save_raw` file; CorruptRecord if it is cut short or malformed."""
     with open(path, "rb") as fh:
         head = fh.readline()
-        body = fh.read()
-    try:
-        header = json.loads(head)
-        n, t0, dt = int(header["n_samples"]), header["t0_s"], header["dt_s"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CorruptRecord(f"{path}: bad header ({exc})") from None
-    if len(body) != 8 * n:
-        raise CorruptRecord(f"{path}: truncated ({len(body)} bytes for {n} "
-                            f"float64 samples)")
-    data = np.frombuffer(body, dtype="<f8").copy()
+        try:
+            header = json.loads(head)
+            n, t0, dt = int(header["n_samples"]), header["t0_s"], header["dt_s"]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise CorruptRecord(f"{path}: bad header ({exc})") from None
+        n_bytes = os.fstat(fh.fileno()).st_size - len(head)
+        if n_bytes != 8 * n:
+            raise CorruptRecord(f"{path}: truncated ({n_bytes} bytes for {n} "
+                                f"float64 samples)")
+        # read straight into the samples: a bytes body and its copy would fault
+        # in two fresh buffers per file
+        data = np.empty(n, dtype="<f8")
+        if fh.readinto(data) != n_bytes:
+            raise CorruptRecord(f"{path}: changed while it was read")
     try:
         return TimeSeries(t0, dt, data, dict(header.get("metadata", {})))
     except (ValueError, TypeError) as exc:      # a non-finite sample or a bad dt
@@ -342,6 +347,7 @@ def write_columns(path: Path, header: list[tuple[str, object]], columns: str, ro
     lines = [f"# {k}: {_fmt(v)}" for k, v in header]
     lines.append(f"# columns: {columns}")
     lines.extend(rows)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -330,6 +330,7 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "InsufficientData"
         assert err["message"] == "series_00 has 3 cycles, fewer than one group of 5"
+        assert not (out / "plot_data").exists()
 
     def test_emit_quadratures_reads_one_group(self, campaign_dir, tmp_path,
                                               monkeypatch, use_cpus):
@@ -357,8 +358,20 @@ class TestCli:
                      "--resolution", "100"]) == 0
         assert (out / "plot_data" / "heterodyne_spectrum.dat").exists()
         capsys.readouterr()
-        assert main(["emit-plot-data", "--what", "spectra", "--in", str(out)]) != 0
+        assert main(["emit-plot-data", "--what", "spectra", "--in", str(out),
+                     "--out", str(tmp_path / "pd")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "SegmentTooLong"
+        assert not (tmp_path / "pd").exists()
+
+    def test_emit_spectra_without_raw(self, tmp_path, capsys):
+        save_config(small_config(store_raw=False), tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["emit-plot-data", "--what", "spectra", "--in", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "NoRawData"
+        assert not (out / "plot_data").exists()
 
     def test_thermometry_stationary(self, tmp_path, capsys):
         root = tmp_path / "th"
@@ -372,6 +385,39 @@ class TestCli:
         report = json.loads((root / "thermometry.report").read_text())
         assert report["n_bar"] == pytest.approx(5.0, abs=1.5)
         assert report["purity"] == pytest.approx(1.0 / 11.0, abs=0.03)
+
+    @pytest.mark.parametrize("seconds", ["0", "-3", "0.4", "2.5", "nan", "inf"])
+    def test_stationary_needs_whole_chunks(self, tmp_path, capsys, seconds):
+        save_config(small_config(alpha_sq=0.0), tmp_path / "c.json")
+        out = tmp_path / "th"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out), "--stationary", seconds]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert "positive whole number of 1 s chunks" in err["message"]
+        assert not out.exists()
+
+    def test_stationary_accepts_whole_float(self, tmp_path):
+        save_config(small_config(alpha_sq=0.0), tmp_path / "c.json")
+        out = tmp_path / "th"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out), "--stationary", "2.0"]) == 0
+        assert [p.name for p in sorted((out / "stationary").iterdir())] == [
+            "0000.braw", "0001.braw"]
+
+    def test_stationary_refuses_old_chunks(self, tmp_path, capsys):
+        save_config(small_config(alpha_sq=0.0), tmp_path / "c.json")
+        out = tmp_path / "th"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"), "--seed", "1",
+                     "--out", str(out), "--stationary", "2"]) == 0
+        before = dir_digest(out)
+        capsys.readouterr()
+        assert main(["simulate", "--config", str(tmp_path / "c.json"), "--seed", "2",
+                     "--out", str(out), "--stationary", "1"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileExistsError" and "stationary" in err["message"]
+        # neither the chunks nor the snapshot of the first run are touched
+        assert dir_digest(out) == before
 
     def test_thermometry_single_file(self, tmp_path, capsys):
         root = tmp_path / "th1"
@@ -489,3 +535,54 @@ class TestWorkers:
                      "--out", str(tmp_path / "out")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "BrokenProcessPool"
+
+    def test_thermometry_independent_of_worker_count(self, tmp_path, use_cpus):
+        save_config(small_config(alpha_sq=0.0), tmp_path / "c.json")
+        digests = []
+        for n in (1, 3):
+            use_cpus(n)
+            out = tmp_path / f"th{n}"
+            assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                         "--out", str(out), "--stationary", "4"]) == 0
+            assert main(["thermometry", "--in", str(out)]) == 0
+            assert len(list((out / "stationary").glob("*.braw"))) == 4
+            digests.append(dir_digest(out))
+        assert digests[0] == digests[1]
+
+    def test_first_damaged_raw_reported(self, tmp_path, capsys, use_cpus):
+        use_cpus(2)
+        save_config(small_config(), tmp_path / "config.snapshot")
+        (tmp_path / "stationary").mkdir()
+        rng = np.random.default_rng(6)
+        for k in range(4):
+            save_raw(TimeSeries(0.0, 4e-7, rng.standard_normal(64)),
+                     tmp_path / "stationary" / f"{k:04d}.braw")
+        for k in (3, 2):
+            path = tmp_path / "stationary" / f"{k:04d}.braw"
+            path.write_bytes(path.read_bytes()[:-8])
+        assert main(["thermometry", "--in", str(tmp_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CorruptRecord" and "0002.braw" in err["message"]
+
+    def test_stationary_worker_death_reported(self, tmp_path, capsys, monkeypatch,
+                                              use_cpus):
+        use_cpus(2)
+        make = gupsim.cli.synthesize_bhd
+
+        def dying(*args, seed, **kw):
+            if seed[1] == 2:
+                os._exit(1)
+            return make(*args, seed=seed, **kw)
+
+        monkeypatch.setattr(gupsim.cli, "synthesize_bhd", dying)
+        save_config(small_config(alpha_sq=0.0), tmp_path / "c.json")
+        out = tmp_path / "th"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out), "--stationary", "4"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "BrokenProcessPool"
+        # the snapshot is written last, so the chunks left behind are not read
+        assert not (out / "config.snapshot").exists()
+        assert main(["thermometry", "--in", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
+        assert not (out / "thermometry.report").exists()
