@@ -194,14 +194,19 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _series_raw_paths(dirs: list[Path]) -> list[Path]:
-    return [p for d in dirs for p in sorted((d / "raw").glob("*.braw"))]
-
-
-def _average_spectrum(raw_paths: list[Path], sample_rate: float,
-                      resolution: float):
-    """Welch estimate of each raw file, averaged; one file's samples in memory at a time."""
-    seg = int(round(sample_rate / resolution))
+def _stationary_spectrum(target: Path, resolution: float):
+    """(averaged Welch spectrum, detection config, run directory) of the .braw
+    chunks of a `simulate --stationary` run, given its directory or one chunk in
+    its `stationary/`; one chunk's samples are in memory at a time."""
+    if target.is_file():
+        raw_paths, root = [target], target.parent.parent
+    else:
+        raw_paths, root = sorted((target / "stationary").glob("*.braw")), target
+    if not raw_paths:
+        raise FileNotFoundError(f"no stationary records under {target} "
+                                "(write them with simulate --stationary)")
+    det = load_config(root / "config.snapshot").detection
+    seg = int(round(det.sample_rate / resolution))
     spectra = []
     for p in raw_paths:
         ts = load_raw(p)
@@ -210,31 +215,11 @@ def _average_spectrum(raw_paths: list[Path], sample_rate: float,
         del ts
     if not spectra:
         raise SegmentTooLong("raw records shorter than one PSD segment")
-    return average_spectra(spectra)
+    return average_spectra(spectra), det, root
 
 
 def cmd_thermometry(args) -> int:
-    target = Path(args.indir)
-    if target.is_file():
-        raw_paths = [target]
-        root = target.parent.parent
-        if not (root / "config.snapshot").exists():
-            return _fail("NoConfig", f"cannot locate config.snapshot near {target}")
-        det = load_config(root / "config.snapshot").detection
-    elif (target / "stationary").is_dir():
-        raw_paths = sorted((target / "stationary").glob("*.braw"))
-        det = load_config(target / "config.snapshot").detection
-        root = target
-    else:
-        dirs = _dataset_dirs(target)
-        raw_paths = _series_raw_paths(dirs)
-        if not raw_paths:
-            return _fail("NoRawData",
-                         "thermometry needs raw series (simulate with store_raw "
-                         "or --stationary)")
-        det = load_config(dirs[0] / "config.snapshot").detection
-        root = target
-    spec = _average_spectrum(raw_paths, det.sample_rate, args.resolution)
+    spec, det, root = _stationary_spectrum(Path(args.indir), args.resolution)
     fit = fit_lorentzian_pair(spec, det)
     report = {
         "n_averages": spec.n_averages,
@@ -308,12 +293,7 @@ def cmd_emit_plot_data(args) -> int:
     root = Path(args.indir)
     outdir = Path(args.out) if args.out else root / "plot_data"
     if args.what == "spectra":
-        dirs = _dataset_dirs(root)
-        raw_paths = _series_raw_paths(dirs)
-        if not raw_paths:
-            return _fail("NoRawData", "spectra need raw series (store_raw)")
-        det = load_config(dirs[0] / "config.snapshot").detection
-        spec = _average_spectrum(raw_paths, det.sample_rate, args.resolution)
+        spec, _, _ = _stationary_spectrum(root, args.resolution)
         save_spectrum(spec, outdir / "heterodyne_spectrum.dat")
         print(f"wrote {outdir / 'heterodyne_spectrum.dat'}")
     elif args.what == "histogram":
@@ -325,7 +305,7 @@ def cmd_emit_plot_data(args) -> int:
                            header={"mean_hz": stats.mean, "std_hz": stats.std,
                                    "n": stats.n_samples})
         print(f"wrote shift histograms to {outdir}")
-    elif args.what == "quadratures":
+    else:       # quadratures
         d = _dataset_dirs(root)[0]
         group_size = load_config(d / "config.snapshot").schedule.group_size
         ds = load_dataset(d, n_records=group_size)
@@ -335,14 +315,19 @@ def cmd_emit_plot_data(args) -> int:
                                    f"than one group of {group_size}")
         save_quadratures(groups[0], outdir, "quadrature")
         print(f"wrote quadrature traces to {outdir}")
-    else:
-        return _fail("UnknownTarget", f"unknown --what {args.what}")
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a rejected argument for `main` to report; subcommand parsers inherit it."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="gupsim", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="gupsim", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -360,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_analyze)
 
-    s = sub.add_parser("thermometry", help="sideband thermometry from raw records")
+    s = sub.add_parser("thermometry", help="sideband thermometry from stationary records")
     s.add_argument("--in", dest="indir", required=True)
     s.add_argument("--out", default=None)
     s.add_argument("--resolution", type=float, default=50.0)
@@ -386,10 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
+    except argparse.ArgumentError as exc:
+        return _fail("ArgumentError", str(exc), code=2)
     except (GupsimError, BrokenProcessPool) as exc:
         return _fail(type(exc).__name__, str(exc))
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sig
@@ -94,12 +94,11 @@ class DetectionConfig:
 
 @dataclass
 class TimeSeries:
-    """Uniformly sampled real series with provenance metadata."""
+    """Uniformly sampled real series."""
 
     t0: float
     dt: float
     samples: np.ndarray
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -146,10 +145,8 @@ class QuadratureRecord:
         if idx.size == 0:
             raise ValueError("empty window")
         t0 = float(t[idx[0]])
-        xq = TimeSeries(t0, self.x_quad.dt, self.x_quad.samples[m],
-                        dict(self.x_quad.metadata))
-        yq = TimeSeries(t0, self.y_quad.dt, self.y_quad.samples[m],
-                        dict(self.y_quad.metadata))
+        xq = TimeSeries(t0, self.x_quad.dt, self.x_quad.samples[m])
+        yq = TimeSeries(t0, self.y_quad.dt, self.y_quad.samples[m])
         return QuadratureRecord(xq, yq, self.cycle_index)
 
 
@@ -264,10 +261,7 @@ def synthesize_bhd(state: CooledState, mode: MechanicalMode, cavity: OpticalCavi
     c_s, c_as = carrier(f_s, t), carrier(f_as, t)
     del t
     samples = assemble_bhd(env_s, env_as, c_s, c_as, det.background_psd, fs, rng)
-    return TimeSeries(t0=0.0, dt=dt, samples=samples,
-                      metadata={"seed": repr(seed), "n_bar": state.n_bar,
-                                "gamma_eff": state.gamma_eff,
-                                "alpha_sq": state.alpha_sq, "kind": "bhd"})
+    return TimeSeries(t0=0.0, dt=dt, samples=samples)
 
 
 # --- demodulation ------------------------------------------------------------
@@ -335,12 +329,9 @@ def lockin_demodulate(ts: TimeSeries, det: DetectionConfig,
     x = x[::r]
     y = y[::r]
     dt_out = ts.dt * r
-    meta = dict(ts.metadata)
-    meta["lockin_ref"] = det.lockin_ref
-    meta["lockin_bandwidth"] = det.lockin_bandwidth
     return QuadratureRecord(
-        x_quad=TimeSeries(ts.t0, dt_out, x, meta),
-        y_quad=TimeSeries(ts.t0, dt_out, y, dict(meta)),
+        x_quad=TimeSeries(ts.t0, dt_out, x),
+        y_quad=TimeSeries(ts.t0, dt_out, y),
         cycle_index=cycle_index,
     )
 
@@ -353,12 +344,10 @@ def average_records(records: list[QuadratureRecord],
     x = np.mean([r.x_quad.samples for r in records], axis=0)
     y = np.mean([r.y_quad.samples for r in records], axis=0)
     first = records[0]
-    meta = dict(first.x_quad.metadata)
-    meta["n_averaged"] = len(records)
     idx = first.cycle_index if cycle_index is None else cycle_index
     return QuadratureRecord(
-        x_quad=TimeSeries(first.x_quad.t0, first.x_quad.dt, x, meta),
-        y_quad=TimeSeries(first.y_quad.t0, first.y_quad.dt, y, dict(meta)),
+        x_quad=TimeSeries(first.x_quad.t0, first.x_quad.dt, x),
+        y_quad=TimeSeries(first.y_quad.t0, first.y_quad.dt, y),
         cycle_index=idx,
     )
 

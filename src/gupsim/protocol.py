@@ -103,7 +103,6 @@ class CampaignConfig:
     alpha_sq_per_series: tuple[float, ...] | None = None
     shift_injection: tuple[float, float] | None = None          # (delta0_hz, tau_s)
     switch_burst: bool = True
-    store_raw: bool = False
 
     def __post_init__(self):
         if self.n_bar < 0 or self.alpha_sq < 0:
@@ -332,9 +331,7 @@ def run_cycle(cfg: CampaignConfig, cycle_index: int, seed, return_raw: bool = Fa
         samples[n_pre:] += sum(tpl.burst_envelope * np.cos(arg + rng.uniform(0.0, TWO_PI))
                                for arg in tpl.burst_args)
 
-    raw = TimeSeries(t0=tpl.t0, dt=dt, samples=samples,
-                     metadata={"seed": repr(seed), "cycle_index": cycle_index,
-                               "kind": "bhd"})
+    raw = TimeSeries(t0=tpl.t0, dt=dt, samples=samples)
     rec = lockin_demodulate(raw, det, cycle_index=cycle_index).window(
         0.0, cfg.schedule.measure)
     if return_raw:

@@ -6,11 +6,11 @@ produce byte-identical artifacts. SI units with unit-annotated field names.
 
 `save_dataset` is the one series writer. It writes the per-series
 `CampaignConfig` as the snapshot, then makes every cycle on the process pool
-of `pool.chunked_map`; each worker writes the records (and, with `store_raw`,
-the raw series) of the cycles it makes. `load_dataset` reads the records back
-on the same pool into a `Dataset` and parses the snapshot with
-`config_from_dict`, the same parser `load_config` uses for config files. The
-bytes do not depend on the number of workers.
+of `pool.chunked_map`; each worker writes the records of the cycles it makes.
+`load_dataset` reads the records back on the same pool into a `Dataset`,
+checks each record's `config_hash` against the snapshot's, and parses the
+snapshot with `config_from_dict`, the same parser `load_config` uses for
+config files. The bytes do not depend on the number of workers.
 
 `write_columns` writes every text export (spectra, quadrature traces, shift
 histograms, the shift-scan table).
@@ -18,8 +18,11 @@ histograms, the shift-scan table).
 Dataset directory layout:
     config.snapshot          canonical JSON config + hash + provenance
     records/NNNN.qrec        columnar text: t, X, Y with '# key: value' header
-    raw/NNNN.braw            optional: JSON header line + float64 LE samples
     summary.report           JSON analysis summary (written by `analyze`)
+
+Stationary run layout (`simulate --stationary`):
+    config.snapshot          canonical JSON config + hash
+    stationary/NNNN.braw     JSON header line + float64 LE samples, 1 s each
 """
 
 from __future__ import annotations
@@ -107,7 +110,6 @@ def config_to_dict(cfg: CampaignConfig) -> dict:
             None if cfg.shift_injection is None
             else {"delta0_hz": cfg.shift_injection[0], "tau_s": cfg.shift_injection[1]}),
         "switch_burst": cfg.switch_burst,
-        "store_raw": cfg.store_raw,
     }
 
 
@@ -119,11 +121,15 @@ def mode_from_dict(m: dict) -> MechanicalMode:
 
 def config_from_dict(d: dict) -> CampaignConfig:
     """Parse the keys `config_to_dict` writes; any other key is ignored, except an
-    old `scenario` naming a protocol other than the pulsed one, the only one simulated."""
+    old `scenario` naming a protocol other than the pulsed one, the only one simulated,
+    and an old `store_raw: true`, since per-cycle raw series are no longer written."""
     scenario = d.get("scenario", "protocol_2_pulsed")
     if scenario != "protocol_2_pulsed":
         raise ValueError(f"scenario {scenario!r} is not simulated; "
                          "only protocol_2_pulsed is")
+    if d.get("store_raw", False):
+        raise ValueError("store_raw is no longer supported: per-cycle raw series are "
+                         "not written; use simulate --stationary for thermometry records")
     mode = mode_from_dict(d["mode"])
     c = d["cavity"]
     cavity = OpticalCavity(kappa=TWO_PI * c["linewidth_hz"],
@@ -160,8 +166,7 @@ def config_from_dict(d: dict) -> CampaignConfig:
             None if d.get("alpha_sq_per_series") is None
             else tuple(d["alpha_sq_per_series"])),
         shift_injection=(None if inj is None else (inj["delta0_hz"], inj["tau_s"])),
-        switch_burst=d.get("switch_burst", True),
-        store_raw=d.get("store_raw", False))
+        switch_burst=d.get("switch_burst", True))
 
 
 def canonical_json(d: dict) -> str:
@@ -187,28 +192,21 @@ def load_config(path: Path) -> CampaignConfig:
 
 # --- record files ----------------------------------------------------------------
 
-def save_record(rec: QuadratureRecord, path: Path, extra_header: dict | None = None):
-    """Columnar text: '# key: value' header then 't x_quad y_quad' rows."""
-    lines = ["# format: qrec-1"]
-    header = {
-        "cycle_index": rec.cycle_index,
-        "t0_s": rec.x_quad.t0,
-        "dt_s": rec.x_quad.dt,
-        "n_samples": len(rec.x_quad),
-    }
-    header.update({k: v for k, v in sorted(rec.x_quad.metadata.items())})
-    if extra_header:
-        header.update(extra_header)
-    for k, v in header.items():
-        lines.append(f"# {k}: {_fmt(v)}")
-    lines.append("# columns: t_s x_quad y_quad")
+def save_record(rec: QuadratureRecord, path: Path, cfg_hash: str):
+    """Columnar text: '# key: value' header, with `cfg_hash` as the record's
+    `config_hash`, then 't x_quad y_quad' rows."""
+    header = {"format": "qrec-1", "cycle_index": rec.cycle_index, "t0_s": rec.x_quad.t0,
+              "dt_s": rec.x_quad.dt, "n_samples": len(rec.x_quad),
+              "config_hash": cfg_hash, "columns": "t_s x_quad y_quad"}
+    lines = [f"# {k}: {_fmt(v)}" for k, v in header.items()]
     lines.extend(map("{!r} {!r} {!r}".format, rec.times.tolist(),
                      rec.x_quad.samples.tolist(), rec.y_quad.samples.tolist()))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_record(path: Path) -> QuadratureRecord:
-    """Parse a `save_record` file; CorruptRecord if it is cut short or malformed."""
+def load_record(path: Path, cfg_hash: str) -> QuadratureRecord:
+    """Parse a `save_record` file; CorruptRecord if it is cut short or malformed,
+    or if its `config_hash` is not `cfg_hash`, the snapshot's."""
     text = Path(path).read_text()
     meta = {}
     pos = 0
@@ -227,6 +225,9 @@ def load_record(path: Path) -> QuadratureRecord:
         dt = float(meta["dt_s"])
     except (KeyError, ValueError) as exc:
         raise CorruptRecord(f"{path}: bad header ({exc})") from None
+    if meta.get("config_hash") != cfg_hash:
+        raise CorruptRecord(f"{path}: config_hash {meta.get('config_hash')} differs "
+                            f"from the snapshot's {cfg_hash}")
     # a cut-off last number still parses, so the count and the final newline
     # together are what show a truncated file
     try:
@@ -237,22 +238,17 @@ def load_record(path: Path) -> QuadratureRecord:
         raise CorruptRecord(f"{path}: truncated ({cols.size} values for {n} rows "
                             f"of 3, or no final newline)")
     rows = cols.reshape(n, 3)
-    cycle = int(meta.get("cycle_index", 0))
-    keep = {k: v for k, v in meta.items()
-            if k not in {"format", "t0_s", "dt_s", "n_samples", "cycle_index", "columns"}}
     try:
-        return QuadratureRecord(TimeSeries(t0, dt, rows[:, 1].copy(), keep),
-                                TimeSeries(t0, dt, rows[:, 2].copy(), dict(keep)),
-                                cycle_index=cycle)
+        return QuadratureRecord(TimeSeries(t0, dt, rows[:, 1].copy()),
+                                TimeSeries(t0, dt, rows[:, 2].copy()),
+                                cycle_index=int(meta.get("cycle_index", 0)))
     except ValueError as exc:       # a non-finite sample or a bad dt
         raise CorruptRecord(f"{path}: {exc}") from None
 
 
 def save_raw(ts: TimeSeries, path: Path):
     """JSON header line + little-endian float64 samples (deterministic bytes)."""
-    header = {"format": "braw-1", "t0_s": ts.t0, "dt_s": ts.dt,
-              "n_samples": len(ts),
-              "metadata": {k: _fmt(v) for k, v in sorted(ts.metadata.items())}}
+    header = {"format": "braw-1", "t0_s": ts.t0, "dt_s": ts.dt, "n_samples": len(ts)}
     with open(path, "wb") as fh:
         fh.write(canonical_json(header).encode() + b"\n")
         fh.write(ts.samples.astype("<f8").tobytes())
@@ -277,34 +273,27 @@ def load_raw(path: Path) -> TimeSeries:
         if fh.readinto(data) != n_bytes:
             raise CorruptRecord(f"{path}: changed while it was read")
     try:
-        return TimeSeries(t0, dt, data, dict(header.get("metadata", {})))
+        return TimeSeries(t0, dt, data)
     except (ValueError, TypeError) as exc:      # a non-finite sample or a bad dt
         raise CorruptRecord(f"{path}: {exc}") from None
 
 
 def _make_and_write(cfg: CampaignConfig, series_index: int, out: Path, cfg_hash: str,
                     cycle_index: int):
-    rec, raw = run_cycle(cfg, cycle_index, cfg.cycle_seed(series_index, cycle_index),
-                         return_raw=True)
-    save_record(rec, out / "records" / f"{cycle_index:04d}.qrec",
-                extra_header={"config_hash": cfg_hash})
-    if cfg.store_raw:
-        save_raw(raw, out / "raw" / f"{cycle_index:04d}.braw")
+    rec = run_cycle(cfg, cycle_index, cfg.cycle_seed(series_index, cycle_index))
+    save_record(rec, out / "records" / f"{cycle_index:04d}.qrec", cfg_hash)
 
 
 def save_dataset(cfg: CampaignConfig, series_index: int, out_dir: Path) -> CampaignConfig:
     """Make and write one series of the campaign `cfg`; returns its per-series config.
 
     Writes the snapshot, then makes each cycle on the process pool
-    (`protocol.map_cycles`) and writes its record (and its raw series, with
-    `store_raw`) in the worker that made it, so no cycle crosses a process
-    boundary and none is held after it is written.
+    (`protocol.map_cycles`) and writes its record in the worker that made it,
+    so no cycle crosses a process boundary and none is held after it is written.
     """
     scfg = cfg.series_variant(series_index)
     out = Path(out_dir)
     (out / "records").mkdir(parents=True, exist_ok=True)
-    if scfg.store_raw:
-        (out / "raw").mkdir(exist_ok=True)
     snapshot = config_to_dict(scfg)
     snapshot["config_hash"] = config_hash(snapshot)
     snapshot["provenance"] = {k: _fmt(v) for k, v in
@@ -316,21 +305,16 @@ def save_dataset(cfg: CampaignConfig, series_index: int, out_dir: Path) -> Campa
 
 
 def _load_checked_record(cfg_hash: str, path: Path) -> QuadratureRecord:
-    rec = load_record(path)
-    got = rec.x_quad.metadata.get("config_hash")
-    if got != cfg_hash:
-        raise CorruptRecord(f"{path}: config_hash {got} differs from the "
-                            f"snapshot's {cfg_hash}")
-    return rec
+    # `chunked_map` passes the path last; `load_record` keeps it first
+    return load_record(path, cfg_hash)
 
 
 def load_dataset(ds_dir: Path, n_records: int | None = None) -> Dataset:
     """Config snapshot and records of a series (the first `n_records`, or all).
 
-    The records are read on the process pool of `pool.chunked_map`. Raw files
-    stay on disk (`load_raw`). CorruptRecord, naming the first bad file in
-    cycle order, if a record is damaged or does not carry the snapshot's
-    config_hash.
+    The records are read on the process pool of `pool.chunked_map`.
+    CorruptRecord, naming the first bad file in cycle order, if a record is
+    damaged or does not carry the snapshot's config_hash.
     """
     ds_dir = Path(ds_dir)
     snapshot = json.loads((ds_dir / "config.snapshot").read_text())

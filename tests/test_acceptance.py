@@ -282,8 +282,7 @@ def test_criterion_9_simulate_determinism(tmp_path):
     from gupsim.cli import main
     from gupsim.storage import save_config
 
-    cfg = campaign_config(schedule=ProtocolSchedule(group_size=5).with_duration(0.2),
-                          store_raw=True)
+    cfg = campaign_config(schedule=ProtocolSchedule(group_size=5).with_duration(0.2))
     save_config(cfg, tmp_path / "config.json")
 
     def digest(root):

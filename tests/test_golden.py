@@ -76,11 +76,12 @@ def test_analysis_insensitive_to_last_bit_changes(tmp_path):
     paths = sorted((tmp_path / "b").glob("series_*/records/*.qrec"))
     assert paths
     for path in paths:
-        rec = load_record(path)
+        h = json.loads((path.parent.parent / "config.snapshot").read_text())["config_hash"]
+        rec = load_record(path, h)
         for ts in (rec.x_quad, rec.y_quad):
             away = np.where(rng.random(len(ts)) < 0.5, -np.inf, np.inf)
             ts.samples[:] = np.nextafter(ts.samples, away)
-        save_record(rec, path)
+        save_record(rec, path, h)
     reports = []
     for name in ("a", "b"):
         assert main(["analyze", "--in", str(tmp_path / name)]) == 0

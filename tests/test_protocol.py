@@ -228,13 +228,22 @@ class TestCampaign:
     def test_grouped_records(self):
         cfg = self.small_cfg()
         ds = run_series(cfg, 0)
+        def assert_group_means(groups, size):
+            for g, group in enumerate(groups):
+                own = ds.records[g * size:(g + 1) * size]
+                for quad in ("x_quad", "y_quad"):
+                    np.testing.assert_array_equal(
+                        getattr(group, quad).samples,
+                        np.mean([getattr(r, quad).samples for r in own], axis=0))
+
         groups = ds.grouped_records()
         assert len(groups) == 1
-        assert groups[0].x_quad.metadata["n_averaged"] == 5
+        assert_group_means(groups, 5)
         # the group size is the config's; a trailing partial group is dropped
         pairs = replace(ds, config=replace(cfg, schedule=replace(cfg.schedule,
                                                                  group_size=2)))
-        assert [g.x_quad.metadata["n_averaged"] for g in pairs.grouped_records()] == [2, 2]
+        assert len(pairs.grouped_records()) == 2
+        assert_group_means(pairs.grouped_records(), 2)
 
     def test_campaign_deterministic(self):
         cfg = self.small_cfg()

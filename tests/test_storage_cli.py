@@ -54,6 +54,10 @@ def small_config(**kw):
     return CampaignConfig(**defaults)
 
 
+def snapshot_hash(series_dir: Path) -> str:
+    return json.loads((series_dir / "config.snapshot").read_text())["config_hash"]
+
+
 def dir_digest(root: Path) -> str:
     h = hashlib.sha256()
     for p in sorted(root.rglob("*")):
@@ -80,10 +84,37 @@ class TestConfigRoundTrip:
         cfg2 = load_config(tmp_path / "c.json")
         assert config_hash(config_to_dict(cfg2)) == h
 
-    def test_shipped_config_is_canonical(self, tmp_path):
+    @pytest.mark.parametrize("path", [CONFIG, GOLDEN / "analyze_config.json",
+                                      GOLDEN / "thermometry_config.json"],
+                             ids=["shipped", "golden_analyze", "golden_thermometry"])
+    def test_shipped_config_is_canonical(self, tmp_path, path):
         # a setting the program no longer reads cannot linger in the file
-        save_config(load_config(CONFIG), tmp_path / "c.json")
-        assert (tmp_path / "c.json").read_bytes() == CONFIG.read_bytes()
+        save_config(load_config(path), tmp_path / "c.json")
+        assert (tmp_path / "c.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("store_raw", [None, False])
+    def test_store_raw_false_loads(self, store_raw):
+        d = json.loads(CONFIG.read_text())
+        want = config_from_dict(d)
+        if store_raw is not None:
+            d["store_raw"] = store_raw
+        assert config_from_dict(d) == want
+
+    def test_store_raw_rejected(self, tmp_path, capsys):
+        d = json.loads(CONFIG.read_text())
+        d["store_raw"] = True
+        with pytest.raises(ValueError, match="store_raw.*simulate --stationary"):
+            config_from_dict(d)
+        # a series snapshot written by an older version with store_raw
+        save_dataset(small_config(schedule=ProtocolSchedule().with_duration(0.08)), 0,
+                     tmp_path / "d")
+        snap = tmp_path / "d" / "config.snapshot"
+        s = json.loads(snap.read_text())
+        s["store_raw"] = True
+        snap.write_text(json.dumps(s))
+        assert main(["analyze", "--in", str(tmp_path / "d")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "store_raw" in err["message"]
 
     @pytest.mark.parametrize("path", [CONFIG, GOLDEN / "analyze_config.json",
                                       GOLDEN / "thermometry_config.json"],
@@ -106,28 +137,27 @@ class TestConfigRoundTrip:
 class TestRecordIO:
     def test_record_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
-        x = TimeSeries(0.0, 3.2e-6, rng.standard_normal(64), {"seed": "[1, 2]"})
-        y = TimeSeries(0.0, 3.2e-6, rng.standard_normal(64), {"seed": "[1, 2]"})
+        x = TimeSeries(0.0, 3.2e-6, rng.standard_normal(64))
+        y = TimeSeries(0.0, 3.2e-6, rng.standard_normal(64))
         rec = QuadratureRecord(x, y, cycle_index=7)
-        save_record(rec, tmp_path / "r.qrec")
-        back = load_record(tmp_path / "r.qrec")
+        save_record(rec, tmp_path / "r.qrec", "0123456789ab")
+        back = load_record(tmp_path / "r.qrec", "0123456789ab")
         assert back.cycle_index == 7
         np.testing.assert_array_equal(back.x_quad.samples, x.samples)
         np.testing.assert_array_equal(back.y_quad.samples, y.samples)
         assert back.x_quad.dt == x.dt
 
     def test_record_bytes_pinned(self, tmp_path):
-        x = TimeSeries(0.0, 0.5, [1.0, -2.5e-7, math.pi], {"seed": "[1, 2]"})
-        y = TimeSeries(0.0, 0.5, [0.1, 1e16, -0.0], {"seed": "[1, 2]"})
+        x = TimeSeries(0.0, 0.5, [1.0, -2.5e-7, math.pi])
+        y = TimeSeries(0.0, 0.5, [0.1, 1e16, -0.0])
         save_record(QuadratureRecord(x, y, cycle_index=4), tmp_path / "r.qrec",
-                    extra_header={"config_hash": "0123456789ab"})
+                    "0123456789ab")
         assert (tmp_path / "r.qrec").read_bytes() == (
             b"# format: qrec-1\n"
             b"# cycle_index: 4\n"
             b"# t0_s: 0.0\n"
             b"# dt_s: 0.5\n"
             b"# n_samples: 3\n"
-            b"# seed: [1, 2]\n"
             b"# config_hash: 0123456789ab\n"
             b"# columns: t_s x_quad y_quad\n"
             b"0.0 1.0 0.1\n"
@@ -144,17 +174,17 @@ class TestRecordIO:
         x = TimeSeries(0.0, 3.2e-6, rng.standard_normal(16))
         y = TimeSeries(0.0, 3.2e-6, rng.standard_normal(16))
         path = tmp_path / "0000.qrec"
-        save_record(QuadratureRecord(x, y), path)
+        save_record(QuadratureRecord(x, y), path, "0123456789ab")
         path.write_text(damage(path.read_text()))
         with pytest.raises(CorruptRecord, match="0000.qrec"):
-            load_record(path)
+            load_record(path, "0123456789ab")
 
     def test_record_from_other_config_rejected(self, tmp_path, capsys):
         save_dataset(small_config(schedule=ProtocolSchedule().with_duration(0.08)), 0,
                      tmp_path / "d")
         path = tmp_path / "d" / "records" / "0001.qrec"
         text = path.read_text()
-        h = json.loads((tmp_path / "d" / "config.snapshot").read_text())["config_hash"]
+        h = snapshot_hash(tmp_path / "d")
         path.write_text(text.replace(f"# config_hash: {h}", "# config_hash: 000000000000"))
         with pytest.raises(CorruptRecord, match="0001.qrec"):
             load_dataset(tmp_path / "d")
@@ -164,11 +194,17 @@ class TestRecordIO:
 
     def test_raw_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(4)
-        ts = TimeSeries(-0.002, 4e-7, rng.standard_normal(1000), {"kind": "bhd"})
+        ts = TimeSeries(-0.002, 4e-7, rng.standard_normal(1000))
         save_raw(ts, tmp_path / "r.braw")
         back = load_raw(tmp_path / "r.braw")
         np.testing.assert_array_equal(back.samples, ts.samples)
         assert back.t0 == ts.t0 and back.dt == ts.dt
+
+    def test_raw_header_pinned(self, tmp_path):
+        save_raw(TimeSeries(-0.5, 0.25, [1.0, -0.0]), tmp_path / "r.braw")
+        assert (tmp_path / "r.braw").read_bytes() == (
+            b'{"dt_s":0.25,"format":"braw-1","n_samples":2,"t0_s":-0.5}\n'
+            + np.array([1.0, -0.0], dtype="<f8").tobytes())
 
     @pytest.mark.parametrize("damage", [
         lambda data: data[:-3],         # not a whole number of float64s
@@ -189,21 +225,19 @@ class TestRecordIO:
         assert err["error"] == "CorruptRecord" and "0000.braw" in err["message"]
 
     def test_dataset_round_trip(self, tmp_path):
-        cfg = small_config(store_raw=True, series_probe_detunings=(0.0, TWO_PI * 30e3))
+        cfg = small_config(series_probe_detunings=(0.0, TWO_PI * 30e3))
         scfg = cfg.series_variant(1)
         assert save_dataset(cfg, 1, tmp_path / "d") == scfg
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
+            "config.snapshot", "records"]
         back = load_dataset(tmp_path / "d")
         assert back.config == scfg and back.series_index == 1
-        # raw files stay on disk; readers open them by path
-        raw_paths = sorted((tmp_path / "d" / "raw").glob("*.braw"))
-        n = cfg.schedule.cycles_per_series
-        assert len(back.records) == len(raw_paths) == n
-        for k, (rec, path) in enumerate(zip(back.records, raw_paths)):
-            want, raw = run_cycle(scfg, k, scfg.cycle_seed(1, k), return_raw=True)
+        assert len(back.records) == cfg.schedule.cycles_per_series
+        for k, rec in enumerate(back.records):
+            want = run_cycle(scfg, k, scfg.cycle_seed(1, k))
             assert rec.cycle_index == k
             np.testing.assert_array_equal(rec.x_quad.samples, want.x_quad.samples)
             np.testing.assert_array_equal(rec.y_quad.samples, want.y_quad.samples)
-            np.testing.assert_array_equal(load_raw(path).samples, raw.samples)
 
     def test_spectrum_export(self, tmp_path):
         spec = SpectrumEstimate(freqs=np.array([1.0, 2.0, 3.0]),
@@ -220,8 +254,7 @@ class TestRecordIO:
 def campaign_dir(tmp_path_factory):
     """A small simulated campaign shared by the CLI tests."""
     root = tmp_path_factory.mktemp("campaign")
-    cfg = small_config(store_raw=False,
-                       schedule=ProtocolSchedule(group_size=5).with_duration(0.4))
+    cfg = small_config(schedule=ProtocolSchedule(group_size=5).with_duration(0.4))
     save_config(cfg, root / "config.json")
     rc = main(["simulate", "--config", str(root / "config.json"),
                "--out", str(root / "out"), "--series", "2"])
@@ -310,7 +343,8 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(golden), "--out", str(out)]) == 0
         assert main(["emit-plot-data", "--what", "quadratures", "--in", str(out)]) == 0
-        records = [load_record(p) for p in
+        h = snapshot_hash(out / "series_00")
+        records = [load_record(p, h) for p in
                    sorted((out / "series_00" / "records").glob("*.qrec"))[:5]]
         want = average_records(records)
         for name, ts in (("x", want.x_quad), ("y", want.y_quad)):
@@ -339,9 +373,9 @@ class TestCli:
         opened = []
         load = gupsim.storage.load_record
 
-        def counting_load(path):
+        def counting_load(path, *args):
             opened.append(Path(path).name)
-            return load(path)
+            return load(path, *args)
 
         monkeypatch.setattr(gupsim.storage, "load_record", counting_load)
         assert main(["emit-plot-data", "--what", "quadratures",
@@ -349,29 +383,44 @@ class TestCli:
         assert opened == [f"{k:04d}.qrec" for k in range(5)]
 
     def test_emit_spectra(self, tmp_path, capsys):
-        save_config(small_config(store_raw=True), tmp_path / "c.json")
-        out = tmp_path / "out"
+        save_config(small_config(alpha_sq=0.0), tmp_path / "c.json")
+        out = tmp_path / "th"
         assert main(["simulate", "--config", str(tmp_path / "c.json"),
-                     "--out", str(out)]) == 0
-        # 12 ms raw cycles hold one 100 Hz segment but no 50 Hz one
-        assert main(["emit-plot-data", "--what", "spectra", "--in", str(out),
-                     "--resolution", "100"]) == 0
-        assert (out / "plot_data" / "heterodyne_spectrum.dat").exists()
+                     "--out", str(out), "--stationary", "2"]) == 0
+        assert main(["emit-plot-data", "--what", "spectra", "--in", str(out)]) == 0
+        assert main(["thermometry", "--in", str(out)]) == 0
+        # the exported spectrum is the one thermometry fits
+        head = (out / "plot_data" / "heterodyne_spectrum.dat").read_text().splitlines()
+        report = json.loads((out / "thermometry.report").read_text())
+        assert f"# n_averages: {report['n_averages']}" in head
+        assert f"# resolution_hz: {report['resolution_hz']!r}" in head
+        # 1 s chunks hold no 0.5 Hz segment
         capsys.readouterr()
         assert main(["emit-plot-data", "--what", "spectra", "--in", str(out),
-                     "--out", str(tmp_path / "pd")]) == 1
+                     "--resolution", "0.5", "--out", str(tmp_path / "pd")]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "SegmentTooLong"
         assert not (tmp_path / "pd").exists()
 
     def test_emit_spectra_without_raw(self, tmp_path, capsys):
-        save_config(small_config(store_raw=False), tmp_path / "c.json")
+        save_config(small_config(), tmp_path / "c.json")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(tmp_path / "c.json"),
                      "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["emit-plot-data", "--what", "spectra", "--in", str(out)]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "NoRawData"
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileNotFoundError"
+        assert "simulate --stationary" in err["message"]
         assert not (out / "plot_data").exists()
+
+    def test_thermometry_without_stationary(self, campaign_dir, tmp_path, capsys):
+        for target in (campaign_dir / "out", campaign_dir / "out" / "series_00"):
+            assert main(["thermometry", "--in", str(target),
+                         "--out", str(tmp_path / "t.report")]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "FileNotFoundError"
+            assert "simulate --stationary" in err["message"]
+        assert not (tmp_path / "t.report").exists()
 
     def test_thermometry_stationary(self, tmp_path, capsys):
         root = tmp_path / "th"
@@ -458,6 +507,28 @@ class TestCli:
         assert err["message"].startswith("scenario 'protocol_1_decay' is not simulated")
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "c.json", "--out", "o", "--stationary", "-inf"],
+        ["simulate", "--out", "o"],
+        ["emit-plot-data", "--what", "figures", "--in", "o"],
+        [],
+    ], ids=["stationary_minus_inf", "missing_config", "unknown_what", "no_command"])
+    def test_rejected_argument_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ArgumentError" and err["message"]
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["simulate", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
 
 class TestWorkers:
     """Bytes, records and errors do not depend on the number of pool workers."""
@@ -466,7 +537,7 @@ class TestWorkers:
         return small_config(schedule=ProtocolSchedule().with_duration(0.4), **kw)
 
     def test_tree_independent_of_worker_count(self, tmp_path, use_cpus):
-        cfg = self.cfg(store_raw=True, series_probe_detunings=(0.0, TWO_PI * 30e3),
+        cfg = self.cfg(series_probe_detunings=(0.0, TWO_PI * 30e3),
                        shift_injection=(300.0, 2e-5))
         save_config(cfg, tmp_path / "c.json")
         digests = []
@@ -475,7 +546,7 @@ class TestWorkers:
             out = tmp_path / f"out{n}"
             assert main(["simulate", "--config", str(tmp_path / "c.json"),
                          "--out", str(out), "--series", "2"]) == 0
-            assert len(list(out.glob("series_0*/raw/*.braw"))) == 20
+            assert len(list(out.glob("series_0*/records/*.qrec"))) == 20
             digests.append(dir_digest(out))
         assert digests[0] == digests[1]
 
@@ -504,7 +575,7 @@ class TestWorkers:
         lines[i] = f"{t} {sample} {y}"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(CorruptRecord, match="0002.qrec"):
-            load_record(path)
+            load_record(path, snapshot_hash(tmp_path / "d"))
         assert main(["analyze", "--in", str(tmp_path / "d")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CorruptRecord" and "0002.qrec" in err["message"]
