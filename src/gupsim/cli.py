@@ -29,9 +29,9 @@ from .detection import average_spectra, fit_lorentzian_pair, synthesize_bhd, wel
 from .dynamics import TWO_PI, purity
 from .errors import GupsimError, InsufficientData, SegmentTooLong
 from .estimation import ShiftStatistics, beta_bound, width_vs_shift_scan
-from .optomech import CooledState, operating_report, spring_damping_slope
+from .optomech import CooledState, spring_damping_slope
 from .pool import chunked_map
-from .protocol import analyze_dataset, series_provenance, summarize_campaign
+from .protocol import analyze_dataset, summarize_campaign
 from .storage import (
     config_hash,
     config_to_dict,
@@ -71,21 +71,11 @@ def cmd_simulate(args) -> int:
         return _simulate_stationary(cfg, out, args.stationary)
     if args.series < 1:
         raise ValueError("--series must be >= 1")
+    # records of an earlier run would be analyzed with this one's
+    if any(out.glob("series_*/records/*.qrec")):
+        raise FileExistsError(f"{out} already holds .qrec records")
     for s in range(args.series):
-        d = out / f"series_{s:02d}"
-        scfg = save_dataset(cfg, s, d)
-        # operating-point summary; `analyze` replaces it with the full analysis
-        summary = {
-            "kind": "operating-point",
-            "series_index": s,
-            "n_records": scfg.schedule.cycles_per_series,
-            "probe_detuning_hz": scfg.cavity.probe_detuning / TWO_PI,
-            "operating": operating_report(scfg.operating_state),
-            "provenance": {k: str(v) for k, v in
-                           sorted(series_provenance(scfg, s).items())},
-        }
-        (d / "summary.report").write_text(
-            json.dumps(summary, sort_keys=True, indent=2) + "\n")
+        save_dataset(cfg, s, out / f"series_{s:02d}")
     manifest = {
         "tool_version": __version__,
         "config_hash": config_hash(config_to_dict(cfg.series_variant(0))),
@@ -198,6 +188,9 @@ def _stationary_spectrum(target: Path, resolution: float):
     """(averaged Welch spectrum, detection config, run directory) of the .braw
     chunks of a `simulate --stationary` run, given its directory or one chunk in
     its `stationary/`; one chunk's samples are in memory at a time."""
+    if not (resolution > 0 and math.isfinite(resolution)):
+        raise ValueError(f"--resolution must be a positive finite number of Hz, "
+                         f"got {resolution!r}")
     if target.is_file():
         raw_paths, root = [target], target.parent.parent
     else:

@@ -60,11 +60,6 @@ class DeformationParams:
         c = self.constants
         return self.beta0 * (c.L_p / c.hbar) ** 2
 
-    @property
-    def min_position_uncertainty(self) -> float:
-        """Minimal position uncertainty sqrt(beta0)*L_p implied by the deformation."""
-        return math.sqrt(self.beta0) * self.constants.L_p
-
     @classmethod
     def from_beta_tilde(cls, beta_tilde: float,
                         constants: PhysicalConstants = DEFAULT_CONSTANTS) -> "DeformationParams":
@@ -123,9 +118,6 @@ class PhaseState:
         return (self.x / (math.sqrt(2.0) * mode.x_zpf(const)),
                 self.p / (math.sqrt(2.0) * mode.p_zpf(const)))
 
-    def energy(self, mode: MechanicalMode) -> float:
-        return self.p ** 2 / (2.0 * mode.mass) + 0.5 * mode.mass * mode.omega_m ** 2 * self.x ** 2
-
 
 @dataclass(frozen=True)
 class SinusoidalDrive:
@@ -150,9 +142,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return self.t.size
-
-    def __getitem__(self, i: int) -> PhaseState:
-        return PhaseState(x=float(self.x[i]), p=float(self.p[i]), t=float(self.t[i]))
 
     def energies(self) -> np.ndarray:
         m, w = self.mode.mass, self.mode.omega_m

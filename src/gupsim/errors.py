@@ -29,16 +29,8 @@ class OutsideLinearRegime(GupsimError):
     """Detuning outside the small-detuning band where the linear spring/damping model holds."""
 
 
-class InvalidDamping(GupsimError):
-    """Effective damping below the intrinsic mechanical damping."""
-
-
 class RatioUndefined(GupsimError):
-    """Sideband ratio is undefined at zero occupancy."""
-
-
-class ExcitationTooStrong(GupsimError):
-    """Excitation power above the level where coherent-peak noise dominates."""
+    """Occupancy is undefined for a sideband ratio at or below 1."""
 
 
 # --- detection --------------------------------------------------------------

@@ -71,7 +71,6 @@ def config_to_dict(cfg: CampaignConfig) -> dict:
         "cavity": {
             "linewidth_hz": cfg.cavity.kappa / TWO_PI,
             "probe_detuning_hz": cfg.cavity.probe_detuning / TWO_PI,
-            "cooling_detuning_hz": cfg.cavity.cool_detuning / TWO_PI,
             "coupling_rate_rad_s": cfg.cavity.coupling_rate,
         },
         "deformation": {"beta0": cfg.deformation.beta0},
@@ -134,7 +133,6 @@ def config_from_dict(d: dict) -> CampaignConfig:
     c = d["cavity"]
     cavity = OpticalCavity(kappa=TWO_PI * c["linewidth_hz"],
                            probe_detuning=TWO_PI * c["probe_detuning_hz"],
-                           cool_detuning=TWO_PI * c["cooling_detuning_hz"],
                            coupling_rate=c["coupling_rate_rad_s"])
     deformation = DeformationParams(beta0=d["deformation"]["beta0"])
     dd = d["detection"]

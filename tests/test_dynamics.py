@@ -55,7 +55,6 @@ class TestDeformedFactor:
         d = DeformationParams(beta0=2.5)
         c = DEFAULT_CONSTANTS
         assert d.beta_tilde == pytest.approx(2.5 * (c.L_p / c.hbar) ** 2, rel=1e-15)
-        assert d.min_position_uncertainty == pytest.approx(math.sqrt(2.5) * c.L_p, rel=1e-15)
 
     def test_negative_beta0_rejected(self):
         with pytest.raises(ValueError):
@@ -138,7 +137,7 @@ class TestIntegrateTrajectory:
                                     DeformationParams(0.0),
                                     dt=MODE.period / 200, n_steps=1000, store_every=100)
         assert len(traj) == 11
-        assert traj[0].x == A0 and traj[0].t == 1.5
+        assert traj.x[0] == A0 and traj.t[0] == 1.5
 
     def test_drive_pumps_energy_at_resonance(self):
         drive = SinusoidalDrive(amplitude=1e-18, omega=MODE.omega_m, phase=-math.pi / 2)

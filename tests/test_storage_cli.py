@@ -100,6 +100,13 @@ class TestConfigRoundTrip:
             d["store_raw"] = store_raw
         assert config_from_dict(d) == want
 
+    def test_old_cooling_detuning_key_loads(self):
+        # written by older versions, though no computation read it
+        d = json.loads(CONFIG.read_text())
+        want = config_from_dict(d)
+        d["cavity"]["cooling_detuning_hz"] = -699999.9999999999
+        assert config_from_dict(d) == want
+
     def test_store_raw_rejected(self, tmp_path, capsys):
         d = json.loads(CONFIG.read_text())
         d["store_raw"] = True
@@ -262,6 +269,16 @@ def campaign_dir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def stationary_dir(tmp_path_factory):
+    """One 1 s stationary chunk of the small config."""
+    root = tmp_path_factory.mktemp("stationary")
+    save_config(small_config(alpha_sq=0.0), root / "c.json")
+    assert main(["simulate", "--config", str(root / "c.json"), "--out",
+                 str(root / "run"), "--stationary", "1"]) == 0
+    return root / "run"
+
+
 class TestCli:
     def test_simulate_layout(self, campaign_dir):
         out = campaign_dir / "out"
@@ -270,9 +287,25 @@ class TestCli:
             d = out / f"series_{k:02d}"
             assert (d / "config.snapshot").exists()
             assert len(list((d / "records").glob("*.qrec"))) == 10
-            summary = json.loads((d / "summary.report").read_text())
-            assert summary["kind"] == "operating-point"
-            assert summary["operating"]["n_bar"] == 5.0
+            # the series summary is written by `analyze` alone
+            assert not (d / "summary.report").exists()
+
+    def test_simulate_refuses_old_records(self, tmp_path, capsys):
+        for n in (20, 10):
+            sched = ProtocolSchedule(group_size=5, cycles_per_series=n)
+            save_config(small_config(schedule=sched), tmp_path / f"c{n}.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(tmp_path / "c20.json"),
+                     "--out", str(out)]) == 0
+        before = dir_digest(out)
+        capsys.readouterr()
+        # records 0010-0019 of the first run would be left beside the second's
+        assert main(["simulate", "--config", str(tmp_path / "c10.json"),
+                     "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileExistsError" and ".qrec" in err["message"]
+        assert dir_digest(out) == before
+        assert main(["analyze", "--in", str(out)]) == 0
 
     def test_simulate_determinism(self, campaign_dir, tmp_path):
         a = tmp_path / "a"
@@ -394,11 +427,12 @@ class TestCli:
         report = json.loads((out / "thermometry.report").read_text())
         assert f"# n_averages: {report['n_averages']}" in head
         assert f"# resolution_hz: {report['resolution_hz']!r}" in head
-        # 1 s chunks hold no 0.5 Hz segment
-        capsys.readouterr()
-        assert main(["emit-plot-data", "--what", "spectra", "--in", str(out),
-                     "--resolution", "0.5", "--out", str(tmp_path / "pd")]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "SegmentTooLong"
+        # 1 s chunks hold no 0.5 Hz segment, nor a finer one
+        for resolution in ("0.5", "1e-9"):
+            capsys.readouterr()
+            assert main(["emit-plot-data", "--what", "spectra", "--in", str(out),
+                         "--resolution", resolution, "--out", str(tmp_path / "pd")]) == 1
+            assert json.loads(capsys.readouterr().err)["error"] == "SegmentTooLong"
         assert not (tmp_path / "pd").exists()
 
     def test_emit_spectra_without_raw(self, tmp_path, capsys):
@@ -421,6 +455,17 @@ class TestCli:
             assert err["error"] == "FileNotFoundError"
             assert "simulate --stationary" in err["message"]
         assert not (tmp_path / "t.report").exists()
+
+    @pytest.mark.parametrize("resolution", ["0", "-5", "inf", "nan"])
+    def test_resolution_must_be_positive_finite(self, stationary_dir, tmp_path, capsys,
+                                                resolution):
+        for argv in (["thermometry", "--out", str(tmp_path / "t.report")],
+                     ["emit-plot-data", "--what", "spectra", "--out", str(tmp_path)]):
+            assert main([*argv, "--in", str(stationary_dir),
+                         "--resolution", resolution]) == 1
+            err = json.loads(capsys.readouterr().err)
+            assert err["error"] == "ValueError" and "--resolution" in err["message"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_thermometry_stationary(self, tmp_path, capsys):
         root = tmp_path / "th"
