@@ -13,7 +13,7 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
-from gupsim.dynamics import TWO_PI, DeformationParams
+from gupsim.dynamics import TWO_PI, DeformationParams, beta_tilde_for_epsilon
 from gupsim.estimation import beta_bound, fit_ringdown, fit_transient_shift
 from gupsim.protocol import (
     analyze_dataset,
@@ -28,10 +28,10 @@ CONFIG = Path(__file__).resolve().parent.parent / "configs" / "null_campaign.jso
 
 
 def beta0_for_shift(cfg, delta_f_hz):
-    amp_sq = 2 * cfg.mode.x_zpf() ** 2 * (2 * cfg.alpha_sq + 2 * cfg.n_bar + 1)
+    """The deformation whose first-order shift at switch-off is delta_f_hz."""
     eps = 2 * delta_f_hz / (cfg.mode.omega_m / TWO_PI)
-    bt = eps / ((cfg.mode.mass * cfg.mode.omega_m) ** 2 * amp_sq)
-    return DeformationParams.from_beta_tilde(bt)
+    return DeformationParams.from_beta_tilde(
+        beta_tilde_for_epsilon(cfg.mode, eps, cfg.alpha_sq, cfg.n_bar))
 
 
 def response_factor(cfg, delta_f_hz):
@@ -82,7 +82,7 @@ def main():
     se = math.hypot(inj.stats_x.standard_error, null.stats_x.standard_error)
     print(f"  measured shift difference: {diff:+.1f} Hz = {diff / se:+.1f} sigma")
 
-    bound = beta_bound(null.stats_x, cfg.operating_state, cfg.mode, alpha_sq=cfg.alpha_sq)
+    bound = beta_bound(null.stats_x, cfg.operating_state, cfg.mode)
     verdict = "excludes" if bound.beta0_limit < d_inj.beta0 else "DOES NOT exclude"
     print(f"  null-campaign bound beta0 < {bound.beta0_limit:.3e} "
           f"-> {verdict} the injected value")

@@ -44,7 +44,7 @@ def main():
               f"std = {stats.std:.1f} Hz, n = {stats.n_samples}, "
               f"z = {stats.z_score:+.2f} "
               f"({'null-compatible' if stats.null_compatible() else 'NOT null'})")
-        bound = beta_bound(stats, cfg.operating_state, cfg.mode, alpha_sq=cfg.alpha_sq)
+        bound = beta_bound(stats, cfg.operating_state, cfg.mode)
         print(f"   beta0 upper limit ({bound.convention}): {bound.beta0_limit:.3e}")
         out[f"shift_{name}"] = {"mean_hz": stats.mean, "std_hz": stats.std,
                                 "n": stats.n_samples, "z": stats.z_score,

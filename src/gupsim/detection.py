@@ -101,8 +101,10 @@ class TimeSeries:
     samples: np.ndarray
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < math.inf:
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0}")
         self.samples = np.asarray(self.samples, dtype=float)
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("samples must be finite")

@@ -22,21 +22,9 @@ from .errors import InsufficientData, NegativeOccupancy, NonFinite, StepTooLarge
 
 TWO_PI = 2.0 * math.pi
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants used throughout (SI units)."""
-
-    hbar: float = 1.054571817e-34   # J s
-    k_B: float = 1.380649e-23       # J/K
-    L_p: float = 1.6e-35            # m, Planck length
-
-    def __post_init__(self):
-        if self.hbar <= 0 or self.k_B <= 0 or self.L_p <= 0:
-            raise ValueError("physical constants must be strictly positive")
-
-
-DEFAULT_CONSTANTS = PhysicalConstants()
+HBAR = 1.054571817e-34      # J s
+K_B = 1.380649e-23          # J/K
+L_P = 1.6e-35               # m, Planck length
 
 
 @dataclass(frozen=True)
@@ -49,7 +37,6 @@ class DeformationParams:
     """
 
     beta0: float = 0.0
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
 
     def __post_init__(self):
         if self.beta0 < 0:
@@ -57,14 +44,11 @@ class DeformationParams:
 
     @property
     def beta_tilde(self) -> float:
-        c = self.constants
-        return self.beta0 * (c.L_p / c.hbar) ** 2
+        return self.beta0 * (L_P / HBAR) ** 2
 
     @classmethod
-    def from_beta_tilde(cls, beta_tilde: float,
-                        constants: PhysicalConstants = DEFAULT_CONSTANTS) -> "DeformationParams":
-        return cls(beta0=beta_tilde * (constants.hbar / constants.L_p) ** 2,
-                   constants=constants)
+    def from_beta_tilde(cls, beta_tilde: float) -> "DeformationParams":
+        return cls(beta0=beta_tilde * (HBAR / L_P) ** 2)
 
 
 @dataclass(frozen=True)
@@ -88,16 +72,19 @@ class MechanicalMode:
     def period(self) -> float:
         return TWO_PI / self.omega_m
 
-    def thermal_occupancy(self, const: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+    def thermal_occupancy(self) -> float:
         """Bose occupation of the bath at the mode frequency."""
-        x = const.hbar * self.omega_m / (const.k_B * self.T_bath)
+        x = HBAR * self.omega_m / (K_B * self.T_bath)
         return 1.0 / math.expm1(x)
 
-    def x_zpf(self, const: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-        return math.sqrt(const.hbar / (2.0 * self.mass * self.omega_m))
+    def x_zpf(self) -> float:
+        return math.sqrt(HBAR / (2.0 * self.mass * self.omega_m))
 
-    def p_zpf(self, const: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-        return math.sqrt(const.hbar * self.mass * self.omega_m / 2.0)
+    def squared_amplitude(self, alpha_sq, n):
+        """The amplitude convention A^2 = 2 x_zpf^2 (2|alpha|^2 + 2n + 1), scalar or array:
+        A is the half-peak amplitude of a sinusoid with the state's mean-square
+        displacement (coherent + thermal + zero point)."""
+        return 2.0 * self.x_zpf() ** 2 * (2.0 * alpha_sq + 2.0 * n + 1.0)
 
 
 @dataclass(frozen=True)
@@ -111,12 +98,6 @@ class PhaseState:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.p) and math.isfinite(self.t)):
             raise ValueError("phase-space components must be finite")
-
-    def quadratures(self, mode: MechanicalMode,
-                    const: PhysicalConstants = DEFAULT_CONSTANTS) -> tuple[float, float]:
-        """Dimensionless quadratures X = x/(sqrt(2) x_zpf), Y = p/(sqrt(2) p_zpf)."""
-        return (self.x / (math.sqrt(2.0) * mode.x_zpf(const)),
-                self.p / (math.sqrt(2.0) * mode.p_zpf(const)))
 
 
 @dataclass(frozen=True)
@@ -256,8 +237,7 @@ def integrate_trajectory(s0: PhaseState, mode: MechanicalMode, d: DeformationPar
                       dt=dt, damping=damping)
 
 
-def frequency_vs_amplitude(mode: MechanicalMode, d: DeformationParams, A: float,
-                           max_epsilon: float | None = None) -> float:
+def frequency_vs_amplitude(mode: MechanicalMode, d: DeformationParams, A: float) -> float:
     """Angular oscillation frequency of the undamped deformed oscillator at amplitude A.
 
     A is the displacement half-peak amplitude on the energy ellipse (momentum
@@ -269,16 +249,20 @@ def frequency_vs_amplitude(mode: MechanicalMode, d: DeformationParams, A: float,
         omega(A) = omega_m * sqrt(1 + eps).
 
     This closed form is validated against zero-crossing timing of the RK4
-    integrator (see tests); pass max_epsilon to enforce the perturbative-regime
-    guard used by the deformation-bound pipeline.
+    integrator (see tests).
     """
     if A < 0:
         raise ValueError("amplitude must be >= 0")
     eps = d.beta_tilde * (mode.mass * mode.omega_m * A) ** 2
-    if max_epsilon is not None and eps > max_epsilon:
-        raise ValueError(
-            f"eps={eps:.3g} exceeds perturbative-regime guard {max_epsilon:.3g}")
     return mode.omega_m * math.sqrt(1.0 + eps)
+
+
+def beta_tilde_for_epsilon(mode: MechanicalMode, eps: float, alpha_sq: float,
+                           n_bar: float) -> float:
+    """The beta_tilde at which eps = beta_tilde (m Omega_m)^2 A^2 in the state
+    (|alpha|^2, n_bar), A^2 being `MechanicalMode.squared_amplitude`. The shift is
+    delta_f/f = eps/2 to first order; `DeformationParams.from_beta_tilde` gives beta0."""
+    return eps / ((mode.mass * mode.omega_m) ** 2 * mode.squared_amplitude(alpha_sq, n_bar))
 
 
 def measure_period_zero_crossings(traj: Trajectory, min_crossings: int = 8) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import QuadratureRecord
-from .dynamics import DEFAULT_CONSTANTS, TWO_PI, MechanicalMode
+from .dynamics import TWO_PI, DeformationParams, MechanicalMode, beta_tilde_for_epsilon
 from .errors import (
     BaseFitInvalid,
     DegenerateSpan,
@@ -438,11 +438,10 @@ AMPLITUDE_CONVENTION = "mean-square-displacement"
 class BetaBound:
     """Upper limit on the deformation parameter beta0.
 
-    The amplitude convention is declared, not derived: A^2 = 2*x_zpf^2*
-    (2|alpha|^2 + 2 n_bar + 1), i.e. the squared half-peak amplitude of a
-    sinusoid with the oscillator's total mean-square displacement (coherent +
-    thermal + zero point). The shift limit maps through the closed-form
-    frequency law delta_f/f = eps/2 with eps = beta_tilde m^2 Omega^2 A^2.
+    The amplitude convention is declared, not derived: A^2 is
+    `MechanicalMode.squared_amplitude` at the operating point. The shift limit
+    maps through the closed-form frequency law delta_f/f = eps/2 with
+    eps = beta_tilde m^2 Omega^2 A^2 (`dynamics.beta_tilde_for_epsilon`).
     """
 
     beta0_limit: float
@@ -454,31 +453,27 @@ class BetaBound:
     degenerate: bool = False
 
 
-def beta_bound(stats: ShiftStatistics, operating: CooledState, mode: MechanicalMode,
-               alpha_sq: float | None = None) -> BetaBound:
+def beta_bound(stats: ShiftStatistics, operating: CooledState,
+               mode: MechanicalMode) -> BetaBound:
     """Convert null-shift statistics into an upper limit on beta0.
 
     delta_f_max = |mean| + 2*std/sqrt(n); eps_max = 2*delta_f_max/(Omega_m/2pi);
     beta0 = eps_max * hbar^2 / (L_p^2 m^2 Omega_m^2 A^2). Raises ValueError
     when eps_max exceeds MAX_EPSILON, outside the perturbative regime.
     """
-    if alpha_sq is None:
-        alpha_sq = operating.alpha_sq
+    alpha_sq = operating.alpha_sq
     if not (alpha_sq > 0 and math.isfinite(alpha_sq)):
         raise UncalibratedCampaign(f"invalid coherent amplitude |alpha|^2 = {alpha_sq}")
     if stats.n_samples < 2:
         raise UncalibratedCampaign("statistics from fewer than 2 samples")
     delta_f_max = abs(stats.mean) + 2.0 * stats.standard_error
-    f_mech = mode.omega_m / TWO_PI
-    eps_max = 2.0 * delta_f_max / f_mech
+    eps_max = 2.0 * delta_f_max / (mode.omega_m / TWO_PI)
     if eps_max > MAX_EPSILON:
         raise ValueError(
             f"eps_max={eps_max:.3g} outside the perturbative regime (> {MAX_EPSILON})")
-    x_zpf = mode.x_zpf(DEFAULT_CONSTANTS)
-    amp_sq = 2.0 * x_zpf ** 2 * (2.0 * alpha_sq + 2.0 * operating.n_bar + 1.0)
-    beta_tilde = eps_max / ((mode.mass * mode.omega_m) ** 2 * amp_sq)
-    beta0 = beta_tilde * (DEFAULT_CONSTANTS.hbar / DEFAULT_CONSTANTS.L_p) ** 2
-    return BetaBound(beta0_limit=beta0, beta_tilde_limit=beta_tilde,
+    beta_tilde = beta_tilde_for_epsilon(mode, eps_max, alpha_sq, operating.n_bar)
+    return BetaBound(beta0_limit=DeformationParams.from_beta_tilde(beta_tilde).beta0,
+                     beta_tilde_limit=beta_tilde,
                      epsilon_max=eps_max, delta_f_max=delta_f_max,
-                     amplitude_sq=amp_sq,
+                     amplitude_sq=mode.squared_amplitude(alpha_sq, operating.n_bar),
                      degenerate=(delta_f_max == 0.0))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dynamics import DEFAULT_CONSTANTS, TWO_PI, MechanicalMode, PhysicalConstants
+from .dynamics import HBAR, K_B, TWO_PI, MechanicalMode
 from .errors import NegativeOccupancy, OutsideLinearRegime, RatioUndefined
 
 
@@ -74,10 +74,9 @@ def optical_damping_and_spring(cavity: OpticalCavity, mode: MechanicalMode,
     return gamma_opt, d_omega
 
 
-def rethermalization_rate(mode: MechanicalMode,
-                          const: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
+def rethermalization_rate(mode: MechanicalMode) -> float:
     """Short-time phonon arrival rate k_B*T/(hbar*Q), in phonons per second."""
-    return const.k_B * mode.T_bath / (const.hbar * mode.quality_factor)
+    return K_B * mode.T_bath / (HBAR * mode.quality_factor)
 
 
 def occupancy_from_ratio(ratio: float) -> float:

@@ -169,7 +169,7 @@ def _measurement_rates(cfg: CampaignConfig) -> tuple[float, float, float, float]
     else:
         gamma_opt, d_omega = 0.0, 0.0
     gm = cfg.mode.gamma_m
-    n_th = cfg.mode.thermal_occupancy(cfg.deformation.constants)
+    n_th = cfg.mode.thermal_occupancy()
     gamma_meas = gm + gamma_opt
     drive_as = gm * n_th + max(-gamma_opt, 0.0)
     drive_s = gm * (n_th + 1.0) + abs(gamma_opt)
@@ -190,17 +190,15 @@ def _gup_shift_curve(cfg: CampaignConfig, t: np.ndarray, gamma_meas: float,
                      n_curve: np.ndarray) -> np.ndarray:
     """Instantaneous frequency shift (Hz) from the deformed-bracket dynamics.
 
-    eps(t) = beta_tilde * (m Omega)^2 * A(t)^2 with the mean-square-displacement
-    amplitude convention A^2 = 2 x_zpf^2 (2|alpha(t)|^2 + 2 n(t) + 1); the shift
-    follows delta_f = f * (sqrt(1+eps) - 1).
+    eps(t) = beta_tilde * (m Omega)^2 * A(t)^2 with A(t)^2 the amplitude convention
+    `MechanicalMode.squared_amplitude` at (|alpha(t)|^2, n(t)); the shift follows
+    delta_f = f * (sqrt(1+eps) - 1).
     """
     bt = cfg.deformation.beta_tilde
     if bt == 0.0:
         return np.zeros_like(t)
     mode = cfg.mode
-    const = cfg.deformation.constants
-    alpha_sq_t = cfg.alpha_sq * np.exp(-gamma_meas * t)
-    amp_sq = 2.0 * mode.x_zpf(const) ** 2 * (2.0 * alpha_sq_t + 2.0 * n_curve + 1.0)
+    amp_sq = mode.squared_amplitude(cfg.alpha_sq * np.exp(-gamma_meas * t), n_curve)
     eps = bt * (mode.mass * mode.omega_m) ** 2 * amp_sq
     f0 = mode.omega_m / TWO_PI
     return f0 * (np.sqrt(1.0 + eps) - 1.0)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -118,10 +119,21 @@ def mode_from_dict(m: dict) -> MechanicalMode:
                           mass=m["mass_kg"], T_bath=m["bath_temperature_k"])
 
 
+def _check_finite(d: dict, prefix: str = ""):
+    """ValueError naming the first key that holds a NaN or an infinite number."""
+    for k, v in d.items():
+        if isinstance(v, dict):
+            _check_finite(v, f"{prefix}{k}.")
+        elif not all(math.isfinite(x) for x in (v if isinstance(v, list) else [v])
+                     if isinstance(x, float)):
+            raise ValueError(f"config key {prefix}{k} is not finite: {v}")
+
+
 def config_from_dict(d: dict) -> CampaignConfig:
-    """Parse the keys `config_to_dict` writes; any other key is ignored, except an
-    old `scenario` naming a protocol other than the pulsed one, the only one simulated,
-    and an old `store_raw: true`, since per-cycle raw series are no longer written."""
+    """Parse the keys `config_to_dict` writes, ignoring any other. ValueError for a NaN
+    or infinite number, an old `scenario` naming a protocol other than the pulsed one
+    (the only one simulated) or an old `store_raw: true` (no raw series are written)."""
+    _check_finite(d)
     scenario = d.get("scenario", "protocol_2_pulsed")
     if scenario != "protocol_2_pulsed":
         raise ValueError(f"scenario {scenario!r} is not simulated; "

@@ -25,6 +25,7 @@ from gupsim.dynamics import (
     DeformationParams,
     MechanicalMode,
     PhaseState,
+    beta_tilde_for_epsilon,
     frequency_vs_amplitude,
     integrate_trajectory,
     measure_period_zero_crossings,
@@ -222,10 +223,9 @@ def test_criterion_7_null_shift_campaign(null_campaign_1200):
 
 
 def _beta0_for_physical_shift(cfg, delta_f_hz):
-    amp_sq = 2 * cfg.mode.x_zpf() ** 2 * (2 * cfg.alpha_sq + 2 * cfg.n_bar + 1)
     eps = 2 * delta_f_hz / (cfg.mode.omega_m / TWO_PI)
-    bt = eps / ((cfg.mode.mass * cfg.mode.omega_m) ** 2 * amp_sq)
-    return DeformationParams.from_beta_tilde(bt)
+    return DeformationParams.from_beta_tilde(
+        beta_tilde_for_epsilon(cfg.mode, eps, cfg.alpha_sq, cfg.n_bar))
 
 
 def _noiseless_response_factor(delta_f_hz):
@@ -263,8 +263,7 @@ def test_criterion_8_closed_loop_injection(null_campaign_2e4):
     diff = inj.stats_x.mean - null.stats_x.mean
     se = math.hypot(inj.stats_x.standard_error, null.stats_x.standard_error)
     z = diff / se
-    bound = beta_bound(null.stats_x, cfg_inj.operating_state, MODE,
-                       alpha_sq=cfg_inj.alpha_sq)
+    bound = beta_bound(null.stats_x, cfg_inj.operating_state, MODE)
     beta0_inj = cfg_inj.deformation.beta0
     excluded = bound.beta0_limit < beta0_inj
     ok = abs(z) > 5.0 and excluded

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gupsim.dynamics import (
-    DEFAULT_CONSTANTS,
+    HBAR,
+    K_B,
+    L_P,
     DeformationParams,
     MechanicalMode,
     PhaseState,
@@ -53,8 +55,7 @@ class TestDeformedFactor:
 
     def test_beta_tilde_definition(self):
         d = DeformationParams(beta0=2.5)
-        c = DEFAULT_CONSTANTS
-        assert d.beta_tilde == pytest.approx(2.5 * (c.L_p / c.hbar) ** 2, rel=1e-15)
+        assert d.beta_tilde == pytest.approx(2.5 * (L_P / HBAR) ** 2, rel=1e-15)
 
     def test_negative_beta0_rejected(self):
         with pytest.raises(ValueError):
@@ -196,11 +197,6 @@ class TestFrequencyVsAmplitude:
         assert frequency_vs_amplitude(MODE, d, A0) / MODE.omega_m == pytest.approx(
             1.0049875621, rel=1e-9)
 
-    def test_perturbative_guard(self):
-        d = deformation_for_eps(0.5)
-        with pytest.raises(ValueError):
-            frequency_vs_amplitude(MODE, d, A0, max_epsilon=0.1)
-
     def test_linear_in_beta0_continuity(self):
         d1 = deformation_for_eps(1e-5)
         d2 = DeformationParams(beta0=d1.beta0 / 2)
@@ -264,21 +260,19 @@ class TestModeAccessors:
         assert MODE.quality_factor == pytest.approx(525800.0 / 0.08216, rel=1e-12)
 
     def test_zero_point_amplitudes(self):
-        c = DEFAULT_CONSTANTS
         assert MODE.x_zpf() == pytest.approx(
-            math.sqrt(c.hbar / (2 * MODE.mass * MODE.omega_m)), rel=1e-12)
-        assert MODE.p_zpf() == pytest.approx(
-            math.sqrt(c.hbar * MODE.mass * MODE.omega_m / 2), rel=1e-12)
-        assert MODE.x_zpf() * MODE.p_zpf() == pytest.approx(c.hbar / 2, rel=1e-12)
+            math.sqrt(HBAR / (2 * MODE.mass * MODE.omega_m)), rel=1e-12)
 
     def test_thermal_occupancy_high_temperature_limit(self):
-        c = DEFAULT_CONSTANTS
         n = MODE.thermal_occupancy()
-        classical = c.k_B * MODE.T_bath / (c.hbar * MODE.omega_m)
+        classical = K_B * MODE.T_bath / (HBAR * MODE.omega_m)
         assert n == pytest.approx(classical - 0.5, rel=1e-5)
 
-    def test_quadrature_accessors(self):
-        s = PhaseState(x=2 * MODE.x_zpf(), p=-3 * MODE.p_zpf())
-        X, Y = s.quadratures(MODE)
-        assert X == pytest.approx(2 / math.sqrt(2), rel=1e-12)
-        assert Y == pytest.approx(-3 / math.sqrt(2), rel=1e-12)
+    def test_squared_amplitude(self):
+        # ground state: the zero-point mean-square displacement 2 x_zpf^2
+        assert MODE.squared_amplitude(0.0, 0.0) == 2 * MODE.x_zpf() ** 2
+        alpha_sq = np.array([0.0, 35.0, 1e8])
+        n = np.array([0.0, 5.0, 2.5])
+        want = [MODE.squared_amplitude(a, m) for a, m in zip(alpha_sq, n)]
+        np.testing.assert_array_equal(MODE.squared_amplitude(alpha_sq, n), want)
+        assert want[1] == pytest.approx(2 * MODE.x_zpf() ** 2 * 81.0, rel=1e-15)

@@ -288,10 +288,10 @@ class TestBetaBound:
         eps = 2 * delta_max / (MODE.omega_m / (2 * math.pi))
         amp2 = 2 * MODE.x_zpf() ** 2 * (2 * 1200.0 + 2 * 5.0 + 1)
         bt = eps / ((MODE.mass * MODE.omega_m) ** 2 * amp2)
-        from gupsim.dynamics import DEFAULT_CONSTANTS as C
+        from gupsim.dynamics import HBAR, L_P
         assert b.delta_f_max == pytest.approx(delta_max, rel=1e-12)
         assert b.epsilon_max == pytest.approx(eps, rel=1e-12)
-        assert b.beta0_limit == pytest.approx(bt * (C.hbar / C.L_p) ** 2, rel=1e-12)
+        assert b.beta0_limit == pytest.approx(bt * (HBAR / L_P) ** 2, rel=1e-12)
         assert b.convention == "mean-square-displacement"
 
     def test_amplitude_scaling(self):
@@ -303,8 +303,7 @@ class TestBetaBound:
 
     def test_uncalibrated(self):
         with pytest.raises(UncalibratedCampaign):
-            beta_bound(self.stats(1.0, 1.0), self.operating(alpha_sq=0.0), MODE,
-                       alpha_sq=0.0)
+            beta_bound(self.stats(1.0, 1.0), self.operating(alpha_sq=0.0), MODE)
 
     def test_perturbative_guard(self):
         with pytest.raises(ValueError):
@@ -318,5 +317,6 @@ class TestBetaBound:
         b1 = beta_bound(self.stats(5.0, std), op, MODE)
         b2 = beta_bound(self.stats(5.0, std * factor), op, MODE)
         assert b2.beta0_limit >= b1.beta0_limit
-        b3 = beta_bound(self.stats(5.0, std), op, MODE, alpha_sq=1200.0 / factor)
+        b3 = beta_bound(self.stats(5.0, std), self.operating(alpha_sq=1200.0 / factor),
+                        MODE)
         assert b3.beta0_limit >= b1.beta0_limit

@@ -8,7 +8,7 @@ import pytest
 import gupsim.detection
 import gupsim.protocol
 from gupsim.detection import DetectionConfig, lockin_demodulate, lockin_sos
-from gupsim.dynamics import DeformationParams, MechanicalMode
+from gupsim.dynamics import DeformationParams, MechanicalMode, beta_tilde_for_epsilon
 from gupsim.estimation import fit_ringdown, fit_transient_shift
 from gupsim.optomech import OpticalCavity, optical_damping_and_spring
 from gupsim.protocol import (
@@ -87,6 +87,21 @@ class TestConfig:
         assert st.n_bar == 5.0
         assert st.alpha_sq == pytest.approx(1200.0)
         assert st.omega_eff == cfg.detection.omega_exc
+
+
+@pytest.mark.parametrize("alpha_sq, n_bar", [(0.0, 0.0), (1200.0, 0.0), (1200.0, 5.0),
+                                             (35.0, 40.0), (1e8, 0.0)])
+@pytest.mark.parametrize("delta_f", [50.0, 5000.0])
+def test_shift_to_beta0_round_trip(alpha_sq, n_bar, delta_f):
+    # delta_f/f = eps/2 inverted to beta0, then the exact law f (sqrt(1+eps) - 1)
+    # forward: the two differ by the linearization, -eps/4 relative to first order
+    eps = 2 * delta_f / (MODE.omega_m / TWO_PI)
+    bt = beta_tilde_for_epsilon(MODE, eps, alpha_sq, n_bar)
+    d = DeformationParams.from_beta_tilde(bt)
+    cfg = noisy_config(deformation=d, alpha_sq=alpha_sq, n_bar=n_bar)
+    shift = predicted_shift_at_switchoff(cfg)
+    assert shift == pytest.approx(delta_f, rel=eps / 4)
+    assert shift < delta_f
 
 
 class TestRunCycle:

@@ -1,16 +1,23 @@
-"""Every public module-level function and class of `gupsim` is used by the
-program: by `src/`, `scripts/` or `perfbench/`, not by tests alone.
+"""Every public module-level function and class of `gupsim`, and every public
+method and property of its classes, is used by the program: by `src/`,
+`scripts/` or `perfbench/`, not by tests alone.
 
-A name counts as used where it appears as a name, an attribute, an imported
-name, or a part of a dotted-identifier string (`perfbench/tracer.py` names its
-targets that way) in any of those files. Its own definition does not count.
+A module-level name counts as used where it appears as a name, an attribute,
+an imported name, or a part of a dotted-identifier string (`perfbench/tracer.py`
+names its targets that way) in any of those files. A method or property counts
+as used where it appears as an attribute, or as a part after the first of a
+dotted-identifier string: a bare word such as an option value does not count.
+A method that overrides a base-class method is called by the base class and is
+left out. Its own definition does not count.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = [*sorted((ROOT / "src" / "gupsim").glob("*.py")),
+MODULES = sorted((ROOT / "src" / "gupsim").glob("*.py"))
+SOURCES = [*MODULES,
            *sorted((ROOT / "scripts").glob("*.py")),
            *sorted((ROOT / "perfbench").glob("*.py"))]
 
@@ -21,7 +28,10 @@ KEPT = {
     "third_harmonic_fraction": "acceptance 1: the deformed-dynamics oracle",
     "equations_of_motion": "acceptance 1: the deformed-dynamics oracle",
     "deformed_factor": "acceptance 1: the deformed-dynamics oracle",
+    "MechanicalMode.period": "acceptance 1: the oracle's integration step",
+    "Trajectory.energies": "the deformed-dynamics oracle: energy conservation",
     "rethermalization_rate": "acceptance 2: the rethermalization constant",
+    "DetectionConfig.record_rate": "acceptance 6: the lock-in output sample rate",
     "lockin_filter_response": "ROADMAP item 1: forward model of the lock-in",
     "coherent_peak_analysis": "acceptance 5 and ROADMAP item 5: coherent amplitude",
 }
@@ -29,7 +39,7 @@ KEPT = {
 
 def _public_definitions() -> dict[str, str]:
     defs = {}
-    for path in sorted((ROOT / "src" / "gupsim").glob("*.py")):
+    for path in MODULES:
         for node in ast.parse(path.read_text()).body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not node.name.startswith("_")):
@@ -37,26 +47,56 @@ def _public_definitions() -> dict[str, str]:
     return defs
 
 
-def _referenced_names() -> set[str]:
-    names = set()
+def _public_methods() -> dict[str, str]:
+    """'Class.method' -> module file, for the public methods and properties of
+    every class, overrides of a base-class method left out."""
+    defs = {}
+    for path in MODULES:
+        module = importlib.import_module(f"gupsim.{path.stem}")
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef):
+                continue
+            bases = getattr(module, node.name).__mro__[1:]
+            for item in node.body:
+                if (isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                        and not any(hasattr(b, item.name) for b in bases)):
+                    defs[f"{node.name}.{item.name}"] = path.name
+    return defs
+
+
+def _references() -> tuple[set[str], set[str]]:
+    """(names, attributes) referenced in SOURCES, as the module docstring counts them."""
+    names, attributes = set(), set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 parts = node.value.split(".")
                 if all(p.isidentifier() for p in parts):
                     names.update(parts)
-    return names
+                    attributes.update(parts[1:])
+    return names, attributes
 
 
 def test_every_public_definition_is_used():
-    defs, used = _public_definitions(), _referenced_names()
+    defs, (used, _) = _public_definitions(), _references()
     unused = sorted(f"{module}: {name}" for name, module in defs.items()
                     if name not in used and name not in KEPT)
     assert unused == [], "public definitions that only tests use"
-    assert sorted(set(KEPT) - set(defs)) == [], "kept names that no longer exist"
+
+
+def test_every_public_method_is_used():
+    defs, (_, used) = _public_methods(), _references()
+    unused = sorted(f"{module}: {name}" for name, module in defs.items()
+                    if name.split(".")[1] not in used and name not in KEPT)
+    assert unused == [], "public methods and properties that only tests use"
+
+
+def test_kept_names_exist():
+    assert sorted(set(KEPT) - set(_public_definitions()) - set(_public_methods())) == []

@@ -171,19 +171,20 @@ class TestRecordIO:
             b"0.5 -2.5e-07 1e+16\n"
             b"1.0 3.141592653589793 -0.0\n")
 
-    @pytest.mark.parametrize("damage", [
-        lambda text: text[:-5],                                  # cut mid-number
-        lambda text: text[:text.rindex("\n", 0, -1) + 1],        # last row dropped
-        lambda text: text.replace("\n0.0 ", "\n0.0 x", 1),       # junk in the first row
-    ], ids=["cut_mid_number", "row_dropped", "junk"])
-    def test_damaged_record_rejected(self, tmp_path, damage):
+    @pytest.mark.parametrize("damage, match", [
+        (lambda text: text[:-5], "0000.qrec"),                            # cut mid-number
+        (lambda text: text[:text.rindex("\n", 0, -1) + 1], "0000.qrec"),  # last row dropped
+        (lambda text: text.replace("\n0.0 ", "\n0.0 x", 1), "0000.qrec"),  # junk in row 1
+        (lambda text: text.replace("# dt_s: 3.2e-06", "# dt_s: nan"), "0000.qrec: dt "),
+    ], ids=["cut_mid_number", "row_dropped", "junk", "nan_dt"])
+    def test_damaged_record_rejected(self, tmp_path, damage, match):
         rng = np.random.default_rng(5)
         x = TimeSeries(0.0, 3.2e-6, rng.standard_normal(16))
         y = TimeSeries(0.0, 3.2e-6, rng.standard_normal(16))
         path = tmp_path / "0000.qrec"
         save_record(QuadratureRecord(x, y), path, "0123456789ab")
         path.write_text(damage(path.read_text()))
-        with pytest.raises(CorruptRecord, match="0000.qrec"):
+        with pytest.raises(CorruptRecord, match=match):
             load_record(path, "0123456789ab")
 
     def test_record_from_other_config_rejected(self, tmp_path, capsys):
@@ -218,7 +219,9 @@ class TestRecordIO:
         lambda data: data[:-8],         # one sample short
         lambda data: b"{" + data,       # header line not JSON
         lambda data: data[:-8] + np.array([np.nan]).tobytes(),  # non-finite sample
-    ], ids=["cut_3_bytes", "cut_8_bytes", "bad_header", "nan_sample"])
+        lambda data: data.replace(b'"dt_s":4e-07', b'"dt_s":NaN', 1),
+        lambda data: data.replace(b'"dt_s":4e-07', b'"dt_s":Infinity', 1),
+    ], ids=["cut_3_bytes", "cut_8_bytes", "bad_header", "nan_sample", "nan_dt", "inf_dt"])
     def test_damaged_raw_rejected(self, tmp_path, capsys, damage):
         save_config(small_config(), tmp_path / "config.snapshot")
         path = tmp_path / "stationary" / "0000.braw"
@@ -550,6 +553,25 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert err["message"].startswith("scenario 'protocol_1_decay' is not simulated")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("operating", "n_bar", math.nan), ("deformation", "beta0", math.nan),
+        ("operating", "alpha_sq", math.inf), ("schedule", "measure_s", math.nan),
+    ])
+    @pytest.mark.parametrize("stationary", [[], ["--stationary", "1"]],
+                             ids=["series", "stationary"])
+    def test_non_finite_config_error(self, tmp_path, capsys, section, key, value,
+                                     stationary):
+        d = config_to_dict(small_config())
+        d[section][key] = value
+        (tmp_path / "c.json").write_text(json.dumps(d))     # as NaN or Infinity
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out), *stationary]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert f"{section}.{key}" in err["message"]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
