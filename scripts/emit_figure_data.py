@@ -49,10 +49,7 @@ def main():
 
     summary = summarize_campaign([analyze_dataset(ds) for ds in datasets])
     for quad, stats in (("x", summary.stats_x), ("y", summary.stats_y)):
-        counts, edges = stats.histogram
-        save_histogram(counts, edges, out / f"shift_histogram_{quad}.dat",
-                       header={"mean_hz": stats.mean, "std_hz": stats.std,
-                               "n": stats.n_samples})
+        save_histogram(stats, out / f"shift_histogram_{quad}.dat")
     print(f"artifacts in {out}/")
 
 

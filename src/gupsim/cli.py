@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .detection import average_spectra, fit_lorentzian_pair, synthesize_bhd, welch_psd
 from .dynamics import TWO_PI, purity
-from .errors import GupsimError, InsufficientData, SegmentTooLong
+from .errors import GupsimError, InsufficientData, RatioUndefined, SegmentTooLong
 from .estimation import ShiftStatistics, beta_bound, width_vs_shift_scan
 from .optomech import CooledState, spring_damping_slope
 from .pool import chunked_map
@@ -128,19 +128,18 @@ def _dataset_dirs(root: Path) -> list[Path]:
 
 
 def _analyze_dirs(dirs: list[Path]):
-    """Analyze each series in turn; returns the analyses and the first series' config."""
-    analyses = []
-    cfg = None
+    """Analyze each series in turn; returns the analyses and the series' configs."""
+    analyses, configs = [], []
     for d in dirs:
         ds = load_dataset(d)
-        cfg = cfg or ds.config
+        configs.append(ds.config)
         analyses.append(analyze_dataset(ds))
-    return analyses, cfg
+    return analyses, configs
 
 
 def cmd_analyze(args) -> int:
     dirs = _dataset_dirs(Path(args.indir))
-    analyses, cfg = _analyze_dirs(dirs)
+    analyses, configs = _analyze_dirs(dirs)
     for d, a in zip(dirs, analyses):
         report = {
             "kind": "series-analysis",
@@ -161,14 +160,15 @@ def cmd_analyze(args) -> int:
         (d / "summary.report").write_text(
             json.dumps(report, sort_keys=True, indent=2) + "\n")
     summary = summarize_campaign(analyses)
-    snapshot = config_to_dict(cfg)
+    # the pooled shifts map to a beta0 limit through one operating point only
+    ops = [config_to_dict(c)["operating"] for c in configs]
     campaign = {
         "tool_version": __version__,
         "n_series": len(analyses),
         "shift_x": _stats_dict(summary.stats_x),
         "shift_y": _stats_dict(summary.stats_y),
-        "operating": snapshot["operating"],
-        "mode": snapshot["mode"],
+        "operating": ops[0] if all(op == ops[0] for op in ops) else None,
+        "mode": config_to_dict(configs[0])["mode"],
         "null_compatible_2sigma": {
             "x": summary.stats_x.null_compatible(),
             "y": summary.stats_y.null_compatible(),
@@ -214,6 +214,10 @@ def _stationary_spectrum(target: Path, resolution: float):
 def cmd_thermometry(args) -> int:
     spec, det, root = _stationary_spectrum(Path(args.indir), args.resolution)
     fit = fit_lorentzian_pair(spec, det)
+    if not fit.corrected_ratio > 1.0:
+        raise RatioUndefined(f"sideband ratio R = {fit.corrected_ratio:.4f} +/- "
+                             f"{fit.corrected_ratio_err:.4f} is not above 1: "
+                             "n_bar = 1/(R - 1) is undefined")
     report = {
         "n_averages": spec.n_averages,
         "resolution_hz": spec.resolution,
@@ -225,7 +229,7 @@ def cmd_thermometry(args) -> int:
         "corrected_ratio_err": fit.corrected_ratio_err,
         "n_bar": fit.occupancy,
         "n_bar_err": fit.occupancy_err,
-        "purity": purity(fit.occupancy) if math.isfinite(fit.occupancy) else 0.0,
+        "purity": purity(fit.occupancy),
         "gamma_eff_hz": 0.5 * (fit.stokes.width + fit.antistokes.width),
     }
     out = Path(args.out) if args.out else root / "thermometry.report"
@@ -238,10 +242,10 @@ def cmd_thermometry(args) -> int:
 
 
 def cmd_shift_scan(args) -> int:
-    analyses, cfg = _analyze_dirs(_dataset_dirs(Path(args.indir)))
+    analyses, configs = _analyze_dirs(_dataset_dirs(Path(args.indir)))
     fits = [f for a in analyses for f in a.ringdown_fits]
     scan = width_vs_shift_scan(fits)
-    theory = spring_damping_slope(cfg.cavity, cfg.mode)
+    theory = spring_damping_slope(configs[0].cavity, configs[0].mode)
     table = Path(args.indir) / "shift_scan.dat"
     write_columns(table, [], "f_m_hz width_hz width_err_hz",
                   (f"{fm!r} {w!r} {we!r}" for fm, w, we in scan.points))
@@ -269,10 +273,12 @@ def cmd_bound(args) -> int:
     stats = ShiftStatistics(mean=s["mean_hz"], std=s["std_hz"],
                             n_samples=s["n"], histogram=(counts, edges))
     op = summary["operating"]
+    if op is None:
+        return _fail("UncalibratedCampaign", "the series ran at different operating "
+                     "points, so the pooled shifts map to no one |alpha|^2")
     mode = mode_from_dict(summary["mode"])
     operating = CooledState(n_bar=op["n_bar"], gamma_eff=TWO_PI * op["gamma_eff_hz"],
-                            omega_eff=mode.omega_m,
-                            alpha=complex(math.sqrt(op["alpha_sq"]), 0.0))
+                            omega_eff=mode.omega_m, alpha_sq=op["alpha_sq"])
     b = beta_bound(stats, operating, mode)
     result = {"beta0_limit": b.beta0_limit, "beta_tilde_limit": b.beta_tilde_limit,
               "epsilon_max": b.epsilon_max, "delta_f_max_hz": b.delta_f_max,
@@ -293,10 +299,7 @@ def cmd_emit_plot_data(args) -> int:
         analyses, _ = _analyze_dirs(_dataset_dirs(root))
         summary = summarize_campaign(analyses)
         for name, stats in (("x", summary.stats_x), ("y", summary.stats_y)):
-            counts, edges = stats.histogram
-            save_histogram(counts, edges, outdir / f"shift_histogram_{name}.dat",
-                           header={"mean_hz": stats.mean, "std_hz": stats.std,
-                                   "n": stats.n_samples})
+            save_histogram(stats, outdir / f"shift_histogram_{name}.dat")
         print(f"wrote shift histograms to {outdir}")
     else:       # quadratures
         d = _dataset_dirs(root)[0]

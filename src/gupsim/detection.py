@@ -34,6 +34,7 @@ from .optomech import CooledState, OpticalCavity, occupancy_from_ratio
 SIDEBAND_HALFWIDTH_HZ = 9e3     # half-width of each sideband's fit window
 COHERENT_EXCLUDE_BINS = 4       # bins either side of a sideband left out of the fit
 PEAK_MIN_SIGMA = 5.0            # significance a coherent peak must reach
+LOCKIN_REF_OFFSET_HZ = 4e3      # lock-in reference below the excitation tone
 
 
 @dataclass(frozen=True)
@@ -42,34 +43,32 @@ class DetectionConfig:
 
     The local oscillator sits delta_lo above the probe, so the Stokes sideband
     lands at (Omega_m + delta_lo) and the anti-Stokes at (Omega_m - delta_lo) in
-    the detected spectrum.  The lock-in demodulates at lockin_ref, which places
-    the anti-Stokes line at f_lower - f_m and the Stokes line at f_upper + f_m,
-    with f_m = (Omega_m - Omega_exc)/2pi and (f_lower, f_upper) the
-    `line_offsets`. The default reference, omega_exc - 2*pi*4 kHz, with the
-    default delta_lo gives (8 kHz, 16 kHz).
+    the detected spectrum.  The lock-in demodulates at lockin_ref, 4 kHz below
+    the excitation tone, which places the anti-Stokes line at f_lower - f_m and
+    the Stokes line at f_upper + f_m, with f_m = (Omega_m - Omega_exc)/2pi and
+    (f_lower, f_upper) the `line_offsets`, (8 kHz, 16 kHz) at the default delta_lo.
     """
 
     omega_exc: float = TWO_PI * 525800.0   # rad/s, excitation tone
     delta_lo: float = TWO_PI * 12e3        # rad/s, heterodyne offset
-    lockin_ref: float | None = None        # rad/s; default omega_exc - 2*pi*4 kHz
     lockin_bandwidth: float = 20e3         # Hz
     lockin_filter_order: int = 4
     sample_rate: float = 2.5e6             # Hz
     decimation: int = 8
     background_psd: float = 1e-5           # detector^2/Hz, flat shot-noise floor
-    detuning_correction: tuple[float, float] = (1.0, 1.0)  # (stokes, antistokes)
 
     def __post_init__(self):
-        if self.lockin_ref is None:
-            object.__setattr__(self, "lockin_ref", self.omega_exc - TWO_PI * 4e3)
         if not self.delta_lo < 0.1 * self.omega_exc:
             raise ValueError("delta_lo must be small compared to the mechanical frequency")
         if self.sample_rate <= 4.0 * (self.omega_exc / TWO_PI + 16e3):
             raise ValueError("sample_rate must exceed 4*(f_exc + 16 kHz)")
-        if min(self.detuning_correction) <= 0:
-            raise ValueError("detuning correction factors must be positive")
         if self.decimation < 1:
             raise ValueError("decimation must be >= 1")
+
+    @property
+    def lockin_ref(self) -> float:
+        """Lock-in reference, rad/s."""
+        return self.omega_exc - TWO_PI * LOCKIN_REF_OFFSET_HZ
 
     @property
     def stokes_freq(self) -> float:
@@ -255,8 +254,9 @@ def synthesize_bhd(state: CooledState, mode: MechanicalMode, cavity: OpticalCavi
     dt = 1.0 / fs
     env_s = stationary_envelope(rng, n, dt, state.gamma_eff, state.n_bar + 1.0)
     env_as = stationary_envelope(rng, n, dt, state.gamma_eff, state.n_bar)
-    env_s += state.alpha
-    env_as += state.alpha
+    alpha = complex(math.sqrt(state.alpha_sq))
+    env_s += alpha
+    env_as += alpha
     # made here, one record at a time: at 2.5 MHz a cached pair of carriers
     # would hold 80 MB per simulated second
     t = dt * np.arange(n)
@@ -426,9 +426,7 @@ def fit_lorentzian_pair(spec: SpectrumEstimate, det: DetectionConfig) -> Lorentz
     contribute to both windows so the neighbor tail is modeled rather than
     absorbed. The COHERENT_EXCLUDE_BINS bins either side of each window's
     centre are left out of the fit so a narrow coherent line cannot bias the
-    thermal areas.
-    Detuning-correction factors are applied to the areas before computing the
-    Stokes/anti-Stokes ratio and the occupancy estimate.
+    thermal areas, whose ratio gives the occupancy.
     """
     f = spec.freqs
     p = spec.psd
@@ -505,10 +503,7 @@ def fit_lorentzian_pair(spec: SpectrumEstimate, det: DetectionConfig) -> Lorentz
     stokes = SidebandFit(th[0], abs(th[1]), th[2], err[0], err[1], err[2])
     anti = SidebandFit(th[3], abs(th[4]), th[5], err[3], err[4], err[5])
 
-    c_st, c_as = det.detuning_correction
-    a1 = stokes.area * c_st
-    a2 = anti.area * c_as
-    ratio = a1 / a2
+    ratio = stokes.area / anti.area
     # ratio variance from the area block of the covariance
     var = (ratio ** 2) * (
         (err[2] / th[2]) ** 2 + (err[5] / th[5]) ** 2
@@ -527,13 +522,12 @@ def fit_lorentzian_pair(spec: SpectrumEstimate, det: DetectionConfig) -> Lorentz
         window_masks=(m_s, m_as), excluded_masks=(e_s, e_as))
 
 
-def coherent_peak_analysis(spec: SpectrumEstimate, fit: LorentzianPairFit,
-                           det: DetectionConfig) -> float:
+def coherent_peak_analysis(spec: SpectrumEstimate, fit: LorentzianPairFit) -> float:
     """Coherent amplitude |alpha|^2 from the narrow-line to Lorentzian area ratio.
 
     The excess area above the fitted Lorentzian + background inside the
     coherent-exclusion windows, summed over both sidebands, divided by the total
-    corrected Lorentzian area, equals |alpha|^2/(n_bar + 1/2). Raises
+    Lorentzian area, equals |alpha|^2/(n_bar + 1/2). Raises
     PeakNotResolved when that excess is below PEAK_MIN_SIGMA standard errors.
     """
     f = spec.freqs
@@ -545,22 +539,21 @@ def coherent_peak_analysis(spec: SpectrumEstimate, fit: LorentzianPairFit,
                 + _lorentz(fv, fit.antistokes.center, fit.antistokes.width,
                            fit.antistokes.area) + bg)
 
-    corr = det.detuning_correction
     peak_area = 0.0
     noise_var = 0.0
     for k in (0, 1):
         e_mask = fit.excluded_masks[k]
         excess = (p[e_mask] - pair_model(f[e_mask], fit.background[k])) * df
-        peak_area += corr[k] * float(np.sum(excess))
+        peak_area += float(np.sum(excess))
         # scatter of the fitted (non-excluded) bins estimates the per-bin noise
         side = fit.window_masks[k] & ~e_mask
         resid = p[side] - pair_model(f[side], fit.background[k])
-        noise_var += (corr[k] * df) ** 2 * float(np.var(resid)) * np.sum(e_mask)
+        noise_var += df ** 2 * float(np.var(resid)) * np.sum(e_mask)
     peak_err = math.sqrt(noise_var)
     if peak_area <= PEAK_MIN_SIGMA * peak_err:
         raise PeakNotResolved(
             f"coherent peak area {peak_area:.3g} below {PEAK_MIN_SIGMA} sigma "
             f"({peak_err:.3g})")
-    lorentz_area = fit.stokes.area * corr[0] + fit.antistokes.area * corr[1]
+    lorentz_area = fit.stokes.area + fit.antistokes.area
     n_bar = fit.occupancy
     return (n_bar + 0.5) * peak_area / lorentz_area

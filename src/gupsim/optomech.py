@@ -35,17 +35,13 @@ class CooledState:
     n_bar: float            # mean phonon occupancy
     gamma_eff: float        # rad/s, effective linewidth
     omega_eff: float        # rad/s, effective resonance
-    alpha: complex = 0j     # coherent amplitude, phonon units
+    alpha_sq: float = 0.0   # |alpha|^2, coherent amplitude squared, phonon units
 
     def __post_init__(self):
         if self.n_bar < 0:
             raise NegativeOccupancy(f"n_bar must be >= 0, got {self.n_bar}")
         if self.gamma_eff <= 0 or self.omega_eff <= 0:
             raise ValueError("gamma_eff and omega_eff must be positive")
-
-    @property
-    def alpha_sq(self) -> float:
-        return abs(self.alpha) ** 2
 
 
 def spring_damping_slope(cavity: OpticalCavity, mode: MechanicalMode) -> float:

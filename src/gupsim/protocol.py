@@ -16,7 +16,6 @@ amplitude set by the excitation strength, which may be varied between series.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 import warnings
@@ -97,7 +96,6 @@ class CampaignConfig:
     n_bar: float = 5.0
     gamma_eff: float = TWO_PI * 6000.0      # pump-on effective linewidth, rad/s
     alpha_sq: float = 35.0
-    excitation_phase: float = 0.0
     seed: int = 0
     series_probe_detunings: tuple[float, ...] | None = None    # rad/s, per series
     alpha_sq_per_series: tuple[float, ...] | None = None
@@ -116,10 +114,8 @@ class CampaignConfig:
 
     @property
     def operating_state(self) -> CooledState:
-        return CooledState(
-            n_bar=self.n_bar, gamma_eff=self.gamma_eff,
-            omega_eff=self.detection.omega_exc,
-            alpha=cmath.rect(math.sqrt(self.alpha_sq), self.excitation_phase))
+        return CooledState(n_bar=self.n_bar, gamma_eff=self.gamma_eff,
+                           omega_eff=self.detection.omega_exc, alpha_sq=self.alpha_sq)
 
     def cycle_seed(self, series_index: int, cycle_index: int) -> list[int]:
         return [self.seed, series_index, cycle_index]
@@ -248,7 +244,7 @@ def _cycle_template(cfg: CampaignConfig) -> _CycleTemplate:
     gamma_meas, d_omega_probe, drive_s, drive_as = _measurement_rates(cfg)
 
     # coherent amplitude: constant while driven, rings down after the switch
-    alpha0 = cmath.rect(math.sqrt(cfg.alpha_sq), cfg.excitation_phase)
+    alpha0 = complex(math.sqrt(cfg.alpha_sq))
     alpha = np.empty(n_pre + n_meas, dtype=complex)
     alpha[:n_pre] = alpha0
     alpha[n_pre:] = alpha0 * np.exp(-0.5 * gamma_meas * t_meas)

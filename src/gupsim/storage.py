@@ -38,6 +38,7 @@ import numpy as np
 from .detection import DetectionConfig, QuadratureRecord, SpectrumEstimate, TimeSeries
 from .dynamics import TWO_PI, DeformationParams, MechanicalMode
 from .errors import CorruptRecord
+from .estimation import ShiftStatistics
 from .optomech import OpticalCavity
 from .pool import chunked_map
 from .protocol import (
@@ -78,19 +79,16 @@ def config_to_dict(cfg: CampaignConfig) -> dict:
         "detection": {
             "excitation_hz": det.omega_exc / TWO_PI,
             "lo_offset_hz": det.delta_lo / TWO_PI,
-            "lockin_ref_hz": det.lockin_ref / TWO_PI,
             "lockin_bandwidth_hz": det.lockin_bandwidth,
             "lockin_filter_order": det.lockin_filter_order,
             "sample_rate_hz": det.sample_rate,
             "decimation": det.decimation,
             "background_psd": det.background_psd,
-            "detuning_correction": list(det.detuning_correction),
         },
         "operating": {
             "n_bar": cfg.n_bar,
             "gamma_eff_hz": cfg.gamma_eff / TWO_PI,
             "alpha_sq": cfg.alpha_sq,
-            "excitation_phase_rad": cfg.excitation_phase,
         },
         "schedule": {
             "pump_on_s": cfg.schedule.pump_on,
@@ -129,18 +127,28 @@ def _check_finite(d: dict, prefix: str = ""):
             raise ValueError(f"config key {prefix}{k} is not finite: {v}")
 
 
+def _check_retired(d: dict, det: DetectionConfig):
+    """ValueError naming a setting older versions wrote that holds another value."""
+    for key, value, why in (
+            ("scenario", "protocol_2_pulsed", "is not simulated"),
+            ("store_raw", False, "is not supported: use simulate --stationary"),
+            ("operating.excitation_phase_rad", 0.0, "is not supported: alpha is real"),
+            ("detection.detuning_correction", [1.0, 1.0], "is not supported"),
+            ("detection.lockin_ref_hz", det.lockin_ref / TWO_PI, "is not supported")):
+        *section, name = key.split(".")
+        held = d.get(section[0], {}) if section else d
+        # a lockin_ref_hz written as f_exc - 4000 can differ from this in its last bit
+        if name in held and held[name] != value and not (
+                isinstance(value, float) and isinstance(held[name], (int, float))
+                and math.isclose(held[name], value, rel_tol=1e-12)):
+            raise ValueError(f"{key} {held[name]!r} {why}; only {value!r} is")
+
+
 def config_from_dict(d: dict) -> CampaignConfig:
     """Parse the keys `config_to_dict` writes, ignoring any other. ValueError for a NaN
-    or infinite number, an old `scenario` naming a protocol other than the pulsed one
-    (the only one simulated) or an old `store_raw: true` (no raw series are written)."""
+    or infinite number, or for a retired setting that holds another value than the
+    one the program uses (`_check_retired`)."""
     _check_finite(d)
-    scenario = d.get("scenario", "protocol_2_pulsed")
-    if scenario != "protocol_2_pulsed":
-        raise ValueError(f"scenario {scenario!r} is not simulated; "
-                         "only protocol_2_pulsed is")
-    if d.get("store_raw", False):
-        raise ValueError("store_raw is no longer supported: per-cycle raw series are "
-                         "not written; use simulate --stationary for thermometry records")
     mode = mode_from_dict(d["mode"])
     c = d["cavity"]
     cavity = OpticalCavity(kappa=TWO_PI * c["linewidth_hz"],
@@ -151,13 +159,12 @@ def config_from_dict(d: dict) -> CampaignConfig:
     detection = DetectionConfig(
         omega_exc=TWO_PI * dd["excitation_hz"],
         delta_lo=TWO_PI * dd["lo_offset_hz"],
-        lockin_ref=TWO_PI * dd["lockin_ref_hz"],
         lockin_bandwidth=dd["lockin_bandwidth_hz"],
         lockin_filter_order=dd["lockin_filter_order"],
         sample_rate=dd["sample_rate_hz"],
         decimation=dd["decimation"],
-        background_psd=dd["background_psd"],
-        detuning_correction=tuple(dd["detuning_correction"]))
+        background_psd=dd["background_psd"])
+    _check_retired(d, detection)
     s = d["schedule"]
     schedule = ProtocolSchedule(pump_on=s["pump_on_s"], measure=s["measure_s"],
                                 cycles_per_series=s["cycles_per_series"],
@@ -167,8 +174,7 @@ def config_from_dict(d: dict) -> CampaignConfig:
     return CampaignConfig(
         mode=mode, cavity=cavity, deformation=deformation, detection=detection,
         schedule=schedule, n_bar=o["n_bar"], gamma_eff=TWO_PI * o["gamma_eff_hz"],
-        alpha_sq=o["alpha_sq"], excitation_phase=o["excitation_phase_rad"],
-        seed=d["seed"],
+        alpha_sq=o["alpha_sq"], seed=d["seed"],
         series_probe_detunings=(
             None if d.get("series_probe_detunings_hz") is None
             else tuple(TWO_PI * x for x in d["series_probe_detunings_hz"])),
@@ -322,15 +328,17 @@ def _load_checked_record(cfg_hash: str, path: Path) -> QuadratureRecord:
 def load_dataset(ds_dir: Path, n_records: int | None = None) -> Dataset:
     """Config snapshot and records of a series (the first `n_records`, or all).
 
-    The records are read on the process pool of `pool.chunked_map`.
-    CorruptRecord, naming the first bad file in cycle order, if a record is
-    damaged or does not carry the snapshot's config_hash.
+    The records, `0000.qrec` on to the snapshot's `cycles_per_series`, are read on
+    the process pool of `pool.chunked_map`. FileNotFoundError or CorruptRecord names
+    the first missing, damaged or foreign (config_hash) record in cycle order.
     """
     ds_dir = Path(ds_dir)
     snapshot = json.loads((ds_dir / "config.snapshot").read_text())
-    paths = sorted((ds_dir / "records").glob("*.qrec"))[:n_records]
+    cfg = config_from_dict(snapshot)
+    paths = [ds_dir / "records" / f"{k:04d}.qrec"
+             for k in range(cfg.schedule.cycles_per_series)][:n_records]
     records = chunked_map(_load_checked_record, (snapshot.get("config_hash"),), paths)
-    return Dataset(records=records, config=config_from_dict(snapshot),
+    return Dataset(records=records, config=cfg,
                    series_index=int(snapshot.get("provenance", {}).get("series_index", 0)))
 
 
@@ -360,10 +368,12 @@ def save_quadratures(rec: QuadratureRecord, out_dir: Path, stem: str):
                       map("{!r} {!r}".format, t, ts.samples.tolist()))
 
 
-def save_histogram(counts: np.ndarray, edges: np.ndarray, path: Path,
-                   header: dict | None = None):
-    """Two-column text (bin center, count) for shift histograms."""
+def save_histogram(stats: ShiftStatistics, path: Path):
+    """Two-column text (bin center, count) of a shift histogram, headed by the
+    mean, standard deviation and count of the shifts."""
+    counts, edges = stats.histogram
     centers = 0.5 * (edges[:-1] + edges[1:])
-    write_columns(path, [("format", "histogram-1"), *sorted((header or {}).items())],
-                  "bin_center count",
+    header = [("format", "histogram-1"), ("mean_hz", stats.mean),
+              ("n", stats.n_samples), ("std_hz", stats.std)]
+    write_columns(path, header, "bin_center count",
                   (f"{c!r} {int(n)}" for c, n in zip(centers.tolist(), counts)))

@@ -147,8 +147,7 @@ def test_criterion_3_optical_spring_line():
 
 def synthesize_averaged_spectrum(n_bar, alpha_sq, seconds, seed):
     state = CooledState(n_bar=n_bar, gamma_eff=TWO_PI * 6000.0,
-                        omega_eff=DET.omega_exc,
-                        alpha=complex(math.sqrt(alpha_sq), 0.0))
+                        omega_eff=DET.omega_exc, alpha_sq=alpha_sq)
     spectra = []
     for k in range(seconds):
         ts = synthesize_bhd(state, MODE, CAVITY, DET, duration=1.0, seed=[seed, k])
@@ -174,7 +173,7 @@ def test_criterion_5_coherent_amplitude_recovery():
     """n_bar = 6.6 with |alpha|^2 = 35 recovered within 10%."""
     spec = synthesize_averaged_spectrum(6.6, 35.0, 50, 505)
     fit = fit_lorentzian_pair(spec, DET)
-    alpha_sq = coherent_peak_analysis(spec, fit, DET)
+    alpha_sq = coherent_peak_analysis(spec, fit)
     ok = abs(alpha_sq - 35.0) / 35.0 < 0.10
     assert report(5, ok, f"|alpha|^2 = {alpha_sq:.2f} (target 35 +/- 10%), "
                          f"n_bar = {fit.occupancy:.2f}")

@@ -66,9 +66,9 @@ class TestDetectionConfig:
 
     def test_line_offsets(self):
         assert DET.line_offsets == (8000.0, 16000.0)
-        moved = DetectionConfig(delta_lo=TWO_PI * 10e3,
-                                lockin_ref=DET.omega_exc - TWO_PI * 3e3)
-        assert moved.line_offsets == pytest.approx((7000.0, 13000.0), abs=1e-6)
+        # the reference stays 4 kHz below the excitation: only the LO offset moves them
+        moved = DetectionConfig(delta_lo=TWO_PI * 10e3)
+        assert moved.line_offsets == pytest.approx((6000.0, 14000.0), abs=1e-6)
 
     def test_lo_offset_guard(self):
         with pytest.raises(ValueError):
@@ -77,10 +77,6 @@ class TestDetectionConfig:
     def test_sample_rate_guard(self):
         with pytest.raises(ValueError):
             DetectionConfig(sample_rate=1.0e6)
-
-    def test_correction_positive(self):
-        with pytest.raises(ValueError):
-            DetectionConfig(detuning_correction=(1.0, 0.0))
 
 
 class TestSynthesizeBhd:
@@ -253,20 +249,11 @@ class TestWelchPsd:
 
 class TestLorentzianPair:
     def synth_spec(self, n_bar, alpha_sq, seconds, seed, gamma_hz=6000.0):
-        alpha = complex(math.sqrt(alpha_sq), 0.0)
         state = CooledState(n_bar=n_bar, gamma_eff=TWO_PI * gamma_hz,
-                            omega_eff=DET.omega_exc, alpha=alpha)
+                            omega_eff=DET.omega_exc, alpha_sq=alpha_sq)
         specs = [welch_psd(synthesize_bhd(state, MODE, CAVITY, DET, 1.0, [seed, k]),
                            segment_length=50000) for k in range(seconds)]
         return average_spectra(specs)
-
-    def test_symmetric_input_gives_unit_ratio(self):
-        # equal sideband weights: synthesize with detuning corrections that
-        # undo the n+1 vs n asymmetry at n_bar = 5
-        spec = self.synth_spec(5.0, 0.0, 6, 21)
-        det = DetectionConfig(detuning_correction=(5.0 / 6.0, 1.0))
-        fit = fit_lorentzian_pair(spec, det)
-        assert abs(fit.corrected_ratio - 1.0) < 3 * fit.corrected_ratio_err + 0.02
 
     def test_occupancy_round_trip(self):
         spec = self.synth_spec(5.0, 0.0, 8, 22)
@@ -292,7 +279,7 @@ class TestCoherentPeak:
         helper = TestLorentzianPair()
         spec = helper.synth_spec(6.6, 35.0, 10, 31)
         fit = fit_lorentzian_pair(spec, DET)
-        alpha_sq = coherent_peak_analysis(spec, fit, DET)
+        alpha_sq = coherent_peak_analysis(spec, fit)
         assert alpha_sq == pytest.approx(35.0, rel=0.12)
 
     def test_ratio_arithmetic(self):
@@ -304,7 +291,7 @@ class TestCoherentPeak:
         spec = helper.synth_spec(5.0, 0.0, 6, 32)
         fit = fit_lorentzian_pair(spec, DET)
         with pytest.raises(PeakNotResolved):
-            coherent_peak_analysis(spec, fit, DET)
+            coherent_peak_analysis(spec, fit)
 
 
 def test_sideband_asymmetry_statistical():

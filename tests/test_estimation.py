@@ -273,8 +273,7 @@ class TestBetaBound:
 
     def operating(self, alpha_sq=1200.0, n_bar=5.0):
         return CooledState(n_bar=n_bar, gamma_eff=2 * math.pi * 6000.0,
-                           omega_eff=MODE.omega_m,
-                           alpha=complex(math.sqrt(alpha_sq), 0.0))
+                           omega_eff=MODE.omega_m, alpha_sq=alpha_sq)
 
     def test_degenerate_zero(self):
         b = beta_bound(self.stats(0.0, 0.0), self.operating(), MODE)

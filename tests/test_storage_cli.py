@@ -1,7 +1,9 @@
+import dataclasses
 import hashlib
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -67,16 +69,69 @@ def dir_digest(root: Path) -> str:
     return h.hexdigest()
 
 
+# settings older versions wrote: (section, key, the one value they may still
+# hold, another value)
+RETIRED = [
+    (None, "scenario", "protocol_2_pulsed", "protocol_1_decay"),
+    (None, "store_raw", False, True),
+    ("operating", "excitation_phase_rad", 0.0, 0.5),
+    ("detection", "detuning_correction", [1.0, 1.0], [5.0 / 6.0, 1.0]),
+    ("detection", "lockin_ref_hz", 521800.0, 522800.0),
+]
+
+
 class TestConfigRoundTrip:
     def test_dict_round_trip(self):
-        cfg = small_config(series_probe_detunings=(0.0, 1000.0),
-                           shift_injection=(500.0, 1e-5),
-                           deformation=DeformationParams(beta0=1e30))
+        # every settable value differs from its default, so a value that
+        # config_to_dict drops comes back as the default and fails the comparison
+        cfg = CampaignConfig(
+            mode=MechanicalMode(omega_m=TWO_PI * 500e3, gamma_m=TWO_PI * 0.1,
+                                mass=2e-10, T_bath=4.0),
+            cavity=OpticalCavity(kappa=TWO_PI * 2e6, probe_detuning=TWO_PI * 1e3,
+                                 coupling_rate=6e5),
+            deformation=DeformationParams(beta0=1e30),
+            detection=DetectionConfig(omega_exc=TWO_PI * 500e3, delta_lo=TWO_PI * 10e3,
+                                      lockin_bandwidth=30e3, lockin_filter_order=3,
+                                      sample_rate=3e6, decimation=4, background_psd=2e-5),
+            schedule=ProtocolSchedule(pump_on=0.02, measure=0.005, cycles_per_series=100,
+                                      group_size=5, pre_roll=0.001),
+            n_bar=3.0, gamma_eff=TWO_PI * 5000.0, alpha_sq=100.0, seed=7,
+            series_probe_detunings=(0.0, TWO_PI * 1e3), alpha_sq_per_series=(100.0, 400.0),
+            shift_injection=(500.0, 1e-5), switch_burst=False)
+        for obj in (cfg, cfg.mode, cfg.cavity, cfg.deformation, cfg.detection,
+                    cfg.schedule):
+            for f in dataclasses.fields(obj):
+                if f.default is not dataclasses.MISSING:
+                    assert getattr(obj, f.name) != f.default, f.name
         d1 = config_to_dict(cfg)
         cfg2 = config_from_dict(d1)
+        assert cfg2 == cfg
         d2 = config_to_dict(cfg2)
         assert d1 == d2
         assert config_hash(d1) == config_hash(d2)
+
+    @pytest.mark.parametrize("section, key, old, other", RETIRED,
+                             ids=[r[1] for r in RETIRED])
+    def test_retired_setting(self, section, key, old, other):
+        d = json.loads(CONFIG.read_text())
+        want = config_from_dict(d)
+        held = d[section] if section else d
+        held[key] = old
+        assert config_from_dict(d) == want
+        held[key] = other
+        name = f"{section}.{key}" if section else key
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} "):
+            config_from_dict(d)
+
+    def test_old_lockin_ref_in_last_bit_loads(self):
+        # older versions wrote the reference as (2 pi f_exc - 2 pi 4 kHz) / 2 pi:
+        # 521807.99999999994 for f_exc = 525808 Hz
+        d = json.loads(CONFIG.read_text())
+        d["detection"]["excitation_hz"] = 525808.0
+        want = config_from_dict(d)
+        d["detection"]["lockin_ref_hz"] = (TWO_PI * 525808.0 - TWO_PI * 4e3) / TWO_PI
+        assert d["detection"]["lockin_ref_hz"] != 525808.0 - 4e3
+        assert config_from_dict(d) == want
 
     def test_file_round_trip(self, tmp_path):
         cfg = small_config()
@@ -363,6 +418,24 @@ class TestCli:
         assert result["beta0_limit"] > 0
         assert result["convention"] == "mean-square-displacement"
 
+    def test_bound_refuses_amplitude_sweep(self, tmp_path, capsys):
+        # two |alpha|^2 give two operating points, and the pooled shifts map to neither
+        cfg = small_config(schedule=ProtocolSchedule(group_size=5).with_duration(0.4),
+                           alpha_sq_per_series=(1200.0, 4800.0))
+        save_config(cfg, tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out), "--series", "2"]) == 0
+        assert main(["analyze", "--in", str(out)]) == 0
+        assert json.loads((out / "analysis.report").read_text())["operating"] is None
+        capsys.readouterr()
+        assert main(["bound", "--summary", str(out / "analysis.report")]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "UncalibratedCampaign"
+        assert "different operating points" in err["message"]
+        assert captured.out == ""
+
     def test_emit_plot_data(self, campaign_dir):
         out = campaign_dir / "out"
         rc = main(["emit-plot-data", "--what", "histogram", "--in", str(out)])
@@ -516,6 +589,22 @@ class TestCli:
         # neither the chunks nor the snapshot of the first run are touched
         assert dir_digest(out) == before
 
+    def test_thermometry_ratio_not_above_1(self, tmp_path, capsys):
+        # at n_bar = 400 two seconds cannot tell the sideband areas apart
+        d = json.loads((GOLDEN / "thermometry_config.json").read_text())
+        d["operating"]["n_bar"] = 400.0
+        (tmp_path / "c.json").write_text(json.dumps(d))
+        out = tmp_path / "th"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"), "--seed", "1",
+                     "--out", str(out), "--stationary", "2"]) == 0
+        capsys.readouterr()
+        assert main(["thermometry", "--in", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "RatioUndefined"
+        assert re.match(r"sideband ratio R = 0\.\d+ \+/- 0\.\d+ is not above 1",
+                        err["message"])
+        assert not (out / "thermometry.report").exists()
+
     def test_thermometry_single_file(self, tmp_path, capsys):
         root = tmp_path / "th1"
         cfg = small_config(alpha_sq=0.0)
@@ -657,6 +746,19 @@ class TestWorkers:
         assert main(["analyze", "--in", str(tmp_path / "d")]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CorruptRecord" and "0003.qrec" in err["message"]
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_missing_record_reported(self, tmp_path, capsys, use_cpus, n_cpus):
+        # without record 7, later cycles would slide into earlier groups
+        use_cpus(n_cpus)
+        save_dataset(small_config(schedule=ProtocolSchedule(group_size=5,
+                                                            cycles_per_series=20)),
+                     0, tmp_path / "d")
+        (tmp_path / "d" / "records" / "0007.qrec").unlink()
+        assert main(["analyze", "--in", str(tmp_path / "d")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "FileNotFoundError" and "0007.qrec" in err["message"]
+        assert not (tmp_path / "d" / "analysis.report").exists()
 
     def test_worker_death_reported(self, tmp_path, capsys, monkeypatch, use_cpus):
         use_cpus(2)
