@@ -2,11 +2,13 @@
 
 Subcommands:
     simulate        run a campaign from a config file, write dataset directories
-    analyze         ring-down + transient-shift fits and campaign summary
+    analyze         ring-down + transient-shift fits, summary.report and analysis.report
     thermometry     PSD, Lorentzian pair fit, occupancy and purity report
-    shift-scan      width-vs-shift table and regression against the spring line
-    bound           deformation-parameter upper limit from a summary file
+    shift-scan      width-vs-shift table and regression from each summary.report
+    bound           deformation-parameter upper limit from analysis.report
     emit-plot-data  two-column text exports (spectra, histograms, quadratures)
+
+Only `analyze` loads records and fits groups; the commands after it read its reports.
 
 Every failure exits nonzero after printing a machine-readable JSON error
 record to stderr.
@@ -27,7 +29,7 @@ import numpy as np
 from . import __version__
 from .detection import average_spectra, fit_lorentzian_pair, synthesize_bhd, welch_psd
 from .dynamics import TWO_PI, purity
-from .errors import GupsimError, InsufficientData, RatioUndefined, SegmentTooLong
+from .errors import GupsimError, InsufficientData, SegmentTooLong
 from .estimation import ShiftStatistics, beta_bound, width_vs_shift_scan
 from .optomech import CooledState, spring_damping_slope
 from .pool import chunked_map
@@ -60,6 +62,20 @@ def _stats_dict(s: ShiftStatistics) -> dict:
             "standard_error_hz": s.standard_error, "z": s.z_score,
             "p_null": s.p_null, "histogram_counts": counts.tolist(),
             "histogram_edges_hz": edges.tolist()}
+
+
+def _stats_from_dict(d: dict) -> ShiftStatistics:
+    """The inverse of `_stats_dict`."""
+    return ShiftStatistics(mean=d["mean_hz"], std=d["std_hz"], n_samples=d["n"],
+                           histogram=(np.array(d["histogram_counts"]),
+                                      np.array(d["histogram_edges_hz"])))
+
+
+def _analyze_report(path: Path, indir) -> dict:
+    """A report that `analyze` writes, read by the commands that follow it."""
+    if not path.is_file():
+        raise FileNotFoundError(f"{path} not found: run `gupsim analyze --in {indir}` first")
+    return json.loads(path.read_text())
 
 
 def cmd_simulate(args) -> int:
@@ -127,25 +143,19 @@ def _dataset_dirs(root: Path) -> list[Path]:
     return dirs
 
 
-def _analyze_dirs(dirs: list[Path]):
-    """Analyze each series in turn; returns the analyses and the series' configs."""
+def cmd_analyze(args) -> int:
+    dirs = _dataset_dirs(Path(args.indir))
     analyses, configs = [], []
     for d in dirs:
         ds = load_dataset(d)
         configs.append(ds.config)
         analyses.append(analyze_dataset(ds))
-    return analyses, configs
-
-
-def cmd_analyze(args) -> int:
-    dirs = _dataset_dirs(Path(args.indir))
-    analyses, configs = _analyze_dirs(dirs)
-    for d, a in zip(dirs, analyses):
+    for d, a, cfg in zip(dirs, analyses, configs):
         report = {
             "kind": "series-analysis",
             "series_index": a.series_index,
-            "probe_detuning_hz": a.probe_detuning / TWO_PI,
-            "n_groups": a.n_groups,
+            "probe_detuning_hz": cfg.cavity.probe_detuning / TWO_PI,
+            "n_groups": len(a.ringdown_fits),
             "ringdown": [
                 {"cycle_group": k, "A": f.A, "tau_s": f.tau, "f_m_hz": f.f_m,
                  "phi_rad": f.phi, "B": f.B, "delta_phi_rad": f.delta_phi,
@@ -174,7 +184,7 @@ def cmd_analyze(args) -> int:
             "y": summary.stats_y.null_compatible(),
         },
     }
-    out = Path(args.out) if args.out else Path(args.indir) / "analysis.report"
+    out = Path(args.indir) / "analysis.report"
     out.write_text(json.dumps(campaign, sort_keys=True, indent=2) + "\n")
     print(f"X: mean {summary.stats_x.mean:+.1f} Hz, std {summary.stats_x.std:.1f} Hz, "
           f"n {summary.stats_x.n_samples}, z {summary.stats_x.z_score:+.2f}")
@@ -214,10 +224,6 @@ def _stationary_spectrum(target: Path, resolution: float):
 def cmd_thermometry(args) -> int:
     spec, det, root = _stationary_spectrum(Path(args.indir), args.resolution)
     fit = fit_lorentzian_pair(spec, det)
-    if not fit.corrected_ratio > 1.0:
-        raise RatioUndefined(f"sideband ratio R = {fit.corrected_ratio:.4f} +/- "
-                             f"{fit.corrected_ratio_err:.4f} is not above 1: "
-                             "n_bar = 1/(R - 1) is undefined")
     report = {
         "n_averages": spec.n_averages,
         "resolution_hz": spec.resolution,
@@ -242,13 +248,16 @@ def cmd_thermometry(args) -> int:
 
 
 def cmd_shift_scan(args) -> int:
-    analyses, configs = _analyze_dirs(_dataset_dirs(Path(args.indir)))
-    fits = [f for a in analyses for f in a.ringdown_fits]
-    scan = width_vs_shift_scan(fits)
-    theory = spring_damping_slope(configs[0].cavity, configs[0].mode)
+    dirs = _dataset_dirs(Path(args.indir))
+    points = [(f["f_m_hz"], f["gamma_eff_hz"], f["gamma_eff_hz_err"])
+              for d in dirs
+              for f in _analyze_report(d / "summary.report", args.indir)["ringdown"]]
+    scan = width_vs_shift_scan(points)
+    cfg = load_config(dirs[0] / "config.snapshot")
+    theory = spring_damping_slope(cfg.cavity, cfg.mode)
     table = Path(args.indir) / "shift_scan.dat"
     write_columns(table, [], "f_m_hz width_hz width_err_hz",
-                  (f"{fm!r} {w!r} {we!r}" for fm, w, we in scan.points))
+                  (f"{fm!r} {w!r} {we!r}" for fm, w, we in points))
     report = {"slope": scan.slope, "slope_err": scan.slope_err,
               "offset_hz": scan.offset, "offset_err_hz": scan.offset_err,
               "theory_slope": theory,
@@ -267,11 +276,7 @@ def cmd_bound(args) -> int:
     key = f"shift_{quad}"
     if key not in summary:
         return _fail("MissingStatistics", f"summary lacks {key}")
-    s = summary[key]
-    counts = np.array(s["histogram_counts"])
-    edges = np.array(s["histogram_edges_hz"])
-    stats = ShiftStatistics(mean=s["mean_hz"], std=s["std_hz"],
-                            n_samples=s["n"], histogram=(counts, edges))
+    stats = _stats_from_dict(summary[key])
     op = summary["operating"]
     if op is None:
         return _fail("UncalibratedCampaign", "the series ran at different operating "
@@ -296,10 +301,10 @@ def cmd_emit_plot_data(args) -> int:
         save_spectrum(spec, outdir / "heterodyne_spectrum.dat")
         print(f"wrote {outdir / 'heterodyne_spectrum.dat'}")
     elif args.what == "histogram":
-        analyses, _ = _analyze_dirs(_dataset_dirs(root))
-        summary = summarize_campaign(analyses)
-        for name, stats in (("x", summary.stats_x), ("y", summary.stats_y)):
-            save_histogram(stats, outdir / f"shift_histogram_{name}.dat")
+        summary = _analyze_report(root / "analysis.report", args.indir)
+        for name in ("x", "y"):
+            save_histogram(_stats_from_dict(summary[f"shift_{name}"]),
+                           outdir / f"shift_histogram_{name}.dat")
         print(f"wrote shift histograms to {outdir}")
     else:       # quadratures
         d = _dataset_dirs(root)[0]
@@ -338,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("analyze", help="fit ring-downs and transient shifts")
     s.add_argument("--in", dest="indir", required=True)
-    s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_analyze)
 
     s = sub.add_parser("thermometry", help="sideband thermometry from stationary records")

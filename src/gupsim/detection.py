@@ -26,6 +26,7 @@ from .errors import (
     FitDiverged,
     NyquistViolation,
     PeakNotResolved,
+    RatioUndefined,
     SegmentTooLong,
 )
 from .leastsq import damped_gauss_newton
@@ -411,11 +412,24 @@ class LorentzianPairFit:
     background: tuple[float, float]       # flat level per sideband window
     corrected_ratio: float
     corrected_ratio_err: float
-    occupancy: float
-    occupancy_err: float
-    covariance: np.ndarray
     window_masks: tuple[np.ndarray, np.ndarray]
     excluded_masks: tuple[np.ndarray, np.ndarray]
+
+    def _ratio_above_1(self) -> float:
+        """R, where the occupancy 1/(R - 1) is defined; RatioUndefined elsewhere."""
+        R, err = self.corrected_ratio, self.corrected_ratio_err
+        if not R > 1.0:
+            raise RatioUndefined(f"sideband ratio R = {R:.4f} +/- {err:.4f} is not "
+                                 "above 1: n_bar = 1/(R - 1) is undefined")
+        return R
+
+    @property
+    def occupancy(self) -> float:
+        return occupancy_from_ratio(self._ratio_above_1())
+
+    @property
+    def occupancy_err(self) -> float:
+        return self.corrected_ratio_err / (self._ratio_above_1() - 1.0) ** 2
 
 
 def fit_lorentzian_pair(spec: SpectrumEstimate, det: DetectionConfig) -> LorentzianPairFit:
@@ -426,7 +440,7 @@ def fit_lorentzian_pair(spec: SpectrumEstimate, det: DetectionConfig) -> Lorentz
     contribute to both windows so the neighbor tail is modeled rather than
     absorbed. The COHERENT_EXCLUDE_BINS bins either side of each window's
     centre are left out of the fit so a narrow coherent line cannot bias the
-    thermal areas, whose ratio gives the occupancy.
+    thermal areas, whose ratio R gives the occupancy 1/(R - 1).
     """
     f = spec.freqs
     p = spec.psd
@@ -508,17 +522,9 @@ def fit_lorentzian_pair(spec: SpectrumEstimate, det: DetectionConfig) -> Lorentz
     var = (ratio ** 2) * (
         (err[2] / th[2]) ** 2 + (err[5] / th[5]) ** 2
         - 2.0 * res.covariance[2, 5] / (th[2] * th[5]))
-    ratio_err = math.sqrt(max(var, 0.0))
-    if ratio > 1.0:
-        n_bar = occupancy_from_ratio(ratio)
-        n_err = ratio_err / (ratio - 1.0) ** 2
-    else:
-        n_bar = math.inf
-        n_err = math.inf
     return LorentzianPairFit(
         stokes=stokes, antistokes=anti, background=(th[6], th[7]),
-        corrected_ratio=ratio, corrected_ratio_err=ratio_err,
-        occupancy=n_bar, occupancy_err=n_err, covariance=res.covariance,
+        corrected_ratio=ratio, corrected_ratio_err=math.sqrt(max(var, 0.0)),
         window_masks=(m_s, m_as), excluded_masks=(e_s, e_as))
 
 

@@ -100,9 +100,6 @@ class RingdownFit:
     def f_m_err(self) -> float:
         return float(self.errors[2])
 
-    def params(self) -> np.ndarray:
-        return np.array([self.A, self.tau, self.f_m, self.phi, self.B, self.delta_phi])
-
     def evaluate(self, t):
         return ringdown_model(t, self.A, self.tau, self.f_m, self.phi,
                               self.B, self.delta_phi, self.f_lower, self.f_upper)
@@ -394,23 +391,21 @@ class WidthShiftScan:
     offset: float               # Hz
     slope_err: float
     offset_err: float
-    points: list[tuple[float, float, float]]    # (f_m Hz, width Hz, width err Hz)
 
 
-def width_vs_shift_scan(fits: list[RingdownFit]) -> WidthShiftScan:
+def width_vs_shift_scan(points: list[tuple[float, float, float]]) -> WidthShiftScan:
     """Linear regression of the effective width against the frequency shift.
 
-    The small-detuning optical spring/damping relation predicts the slope
-    2*kappa*Omega_m/[(kappa/2)^2 - Omega_m^2]; the offset is left free.
-    Points are strongly heteroscedastic (fast-decaying records estimate the
-    width far better than slow ones), so the fit is inverse-variance weighted
-    by each point's reported width error.
+    Each point is one ring-down fit's (f_m, Gamma_eff/2pi, its error) in Hz, as
+    in a series' `summary.report`. The small-detuning optical spring/damping
+    relation predicts the slope 2*kappa*Omega_m/[(kappa/2)^2 - Omega_m^2]; the
+    offset is left free. Points are strongly heteroscedastic (fast-decaying
+    records estimate the width far better than slow ones), so the fit is
+    inverse-variance weighted by each point's reported width error.
     """
-    if len(fits) < 2:
-        raise DegenerateSpan(f"need >= 2 fits, got {len(fits)}")
-    fm = np.array([f.f_m for f in fits])
-    width = np.array([f.gamma_eff_hz for f in fits])
-    werr = np.array([f.gamma_eff_hz_err for f in fits])
+    if len(points) < 2:
+        raise DegenerateSpan(f"need >= 2 fits, got {len(points)}")
+    fm, width, werr = np.array(points, dtype=float).T
     span = fm.max() - fm.min()
     if span <= 1e-9 * max(abs(fm).max(), 1.0):
         raise DegenerateSpan("all fits at a single detuning")
@@ -423,10 +418,9 @@ def width_vs_shift_scan(fits: list[RingdownFit]) -> WidthShiftScan:
     dof = max(fm.size - 2, 1)
     sigma2 = float(r @ r) / dof
     cov = sigma2 * np.linalg.inv(G.T @ G)
-    pts = [(float(a), float(b), float(c)) for a, b, c in zip(fm, width, werr)]
     return WidthShiftScan(slope=float(coef[0]), offset=float(coef[1]),
                           slope_err=math.sqrt(abs(cov[0, 0])),
-                          offset_err=math.sqrt(abs(cov[1, 1])), points=pts)
+                          offset_err=math.sqrt(abs(cov[1, 1])))
 
 
 # --- deformation-parameter bound ----------------------------------------------

@@ -378,13 +378,11 @@ def run_campaign(cfg: CampaignConfig, n_series: int) -> list[Dataset]:
 @dataclass
 class SeriesAnalysis:
     series_index: int
-    probe_detuning: float
     ringdown_fits: list[RingdownFit]
     shift_fits_x: list[ShiftFit]
     shift_fits_y: list[ShiftFit]
     stats_x: ShiftStatistics
     stats_y: ShiftStatistics
-    n_groups: int
 
 
 def analyze_dataset(ds: Dataset) -> SeriesAnalysis:
@@ -394,23 +392,19 @@ def analyze_dataset(ds: Dataset) -> SeriesAnalysis:
     schedule, the lock-in line offsets from its detection settings. The fits
     use the default late and early windows of `estimation`.
     """
-    cfg = ds.config
-    f_lower, f_upper = cfg.detection.line_offsets
-    grouped = ds.grouped_records()
+    f_lower, f_upper = ds.config.detection.line_offsets
     fits = []
     sx = []
     sy = []
-    for rec in grouped:
+    for rec in ds.grouped_records():
         base = fit_ringdown(rec, f_lower=f_lower, f_upper=f_upper)
         fits.append(base)
         fx, fy = fit_transient_shift(rec, base)
         sx.append(fx)
         sy.append(fy)
     return SeriesAnalysis(series_index=ds.series_index,
-                          probe_detuning=cfg.cavity.probe_detuning,
                           ringdown_fits=fits, shift_fits_x=sx, shift_fits_y=sy,
-                          stats_x=aggregate_shifts(sx), stats_y=aggregate_shifts(sy),
-                          n_groups=len(grouped))
+                          stats_x=aggregate_shifts(sx), stats_y=aggregate_shifts(sy))
 
 
 @dataclass

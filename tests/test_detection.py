@@ -25,6 +25,7 @@ from gupsim.errors import (
     FilterUnstable,
     NyquistViolation,
     PeakNotResolved,
+    RatioUndefined,
     SegmentTooLong,
 )
 from gupsim.optomech import CooledState, OpticalCavity
@@ -266,6 +267,23 @@ class TestLorentzianPair:
         fit = fit_lorentzian_pair(spec, DET)
         joint = math.hypot(fit.stokes.width_err, fit.antistokes.width_err)
         assert abs(fit.stokes.width - fit.antistokes.width) < 3 * joint
+
+    def test_ratio_not_above_1_leaves_occupancy_undefined(self):
+        # noiseless pair, anti-Stokes area 0.5 above Stokes area 0.4: R = 0.8
+        f = np.arange(500e3, 552e3, 50.0)
+
+        def lorentz(center, area, width=6000.0):
+            return (area / math.pi) * (width / 2) / ((f - center) ** 2 + (width / 2) ** 2)
+
+        psd = lorentz(DET.stokes_freq, 0.4) + lorentz(DET.antistokes_freq, 0.5) + 1e-3
+        fit = fit_lorentzian_pair(SpectrumEstimate(freqs=f, psd=psd, resolution=50.0,
+                                                   n_averages=1), DET)
+        assert fit.corrected_ratio == pytest.approx(0.8, rel=1e-6)
+        for name in ("occupancy", "occupancy_err"):
+            with pytest.raises(RatioUndefined,
+                               match=r"^sideband ratio R = 0\.8000 \+/- 0\.0000 is not "
+                                     r"above 1: n_bar = 1/\(R - 1\) is undefined$"):
+                getattr(fit, name)
 
     def test_window_outside_support(self):
         spec = SpectrumEstimate(freqs=np.linspace(1e3, 2e3, 100),

@@ -285,7 +285,7 @@ class TestAnalyzeDataset:
         cfg = replace(cfg, detection=det,
                       schedule=replace(cfg.schedule, cycles_per_series=60))
         analysis = analyze_dataset(run_series(cfg, 0))
-        assert analysis.n_groups == 6
+        assert len(analysis.ringdown_fits) == 6
         for fit in analysis.ringdown_fits:
             assert abs(fit.f_m) < 20.0
             assert fit.residual_std < 5.0

@@ -4,15 +4,18 @@ method and property of its classes, is used by the program: by `src/`,
 
 A module-level name counts as used where it appears as a name, an attribute,
 an imported name, or a part of a dotted-identifier string (`perfbench/tracer.py`
-names its targets that way) in any of those files. A method or property counts
-as used where it appears as an attribute, or as a part after the first of a
-dotted-identifier string: a bare word such as an option value does not count.
-A method that overrides a base-class method is called by the base class and is
-left out. Its own definition does not count.
+names its targets that way) in any of those files. A property counts as used
+where it appears as an attribute, and a plain method only where it is called
+as one (`x.name(...)`): a field of the same name on another class, such as
+`res.params` of a least-squares result, does not count for it. Either counts
+where it is a part after the first of a dotted-identifier string; a bare word
+such as an option value does not. A method that overrides a base-class method
+is called by the base class and is left out. Its own definition does not count.
 """
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,26 +50,29 @@ def _public_definitions() -> dict[str, str]:
     return defs
 
 
-def _public_methods() -> dict[str, str]:
-    """'Class.method' -> module file, for the public methods and properties of
-    every class, overrides of a base-class method left out."""
+def _public_methods() -> dict[str, tuple[str, bool]]:
+    """'Class.method' -> (module file, whether it is a property), for the public
+    methods and properties of every class, overrides of a base-class method left out."""
     defs = {}
     for path in MODULES:
         module = importlib.import_module(f"gupsim.{path.stem}")
         for node in ast.parse(path.read_text()).body:
             if not isinstance(node, ast.ClassDef):
                 continue
-            bases = getattr(module, node.name).__mro__[1:]
+            cls = getattr(module, node.name)
             for item in node.body:
                 if (isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
-                        and not any(hasattr(b, item.name) for b in bases)):
-                    defs[f"{node.name}.{item.name}"] = path.name
+                        and not any(hasattr(b, item.name) for b in cls.__mro__[1:])):
+                    is_property = isinstance(inspect.getattr_static(cls, item.name),
+                                             property)
+                    defs[f"{node.name}.{item.name}"] = (path.name, is_property)
     return defs
 
 
-def _references() -> tuple[set[str], set[str]]:
-    """(names, attributes) referenced in SOURCES, as the module docstring counts them."""
-    names, attributes = set(), set()
+def _references() -> tuple[set[str], set[str], set[str]]:
+    """(names, attributes, called attributes) referenced in SOURCES, as the
+    module docstring counts them."""
+    names, attributes, called = set(), set(), set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
@@ -76,25 +82,29 @@ def _references() -> tuple[set[str], set[str]]:
                 attributes.add(node.attr)
             elif isinstance(node, ast.alias):
                 names.add(node.name)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 parts = node.value.split(".")
                 if all(p.isidentifier() for p in parts):
                     names.update(parts)
                     attributes.update(parts[1:])
-    return names, attributes
+                    called.update(parts[1:])
+    return names, attributes, called
 
 
 def test_every_public_definition_is_used():
-    defs, (used, _) = _public_definitions(), _references()
+    defs, (used, _, _) = _public_definitions(), _references()
     unused = sorted(f"{module}: {name}" for name, module in defs.items()
                     if name not in used and name not in KEPT)
     assert unused == [], "public definitions that only tests use"
 
 
 def test_every_public_method_is_used():
-    defs, (_, used) = _public_methods(), _references()
-    unused = sorted(f"{module}: {name}" for name, module in defs.items()
-                    if name.split(".")[1] not in used and name not in KEPT)
+    defs, (_, attributes, called) = _public_methods(), _references()
+    unused = sorted(f"{module}: {name}" for name, (module, is_property) in defs.items()
+                    if name.split(".")[1] not in (attributes if is_property else called)
+                    and name not in KEPT)
     assert unused == [], "public methods and properties that only tests use"
 
 

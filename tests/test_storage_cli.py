@@ -21,8 +21,16 @@ from gupsim.detection import (
 )
 from gupsim.dynamics import DeformationParams, MechanicalMode
 from gupsim.errors import CorruptRecord
-from gupsim.optomech import OpticalCavity
-from gupsim.protocol import CampaignConfig, ProtocolSchedule, run_cycle, run_series
+from gupsim.estimation import width_vs_shift_scan
+from gupsim.optomech import OpticalCavity, spring_damping_slope
+from gupsim.protocol import (
+    CampaignConfig,
+    ProtocolSchedule,
+    analyze_dataset,
+    run_cycle,
+    run_series,
+    summarize_campaign,
+)
 from gupsim.storage import (
     config_from_dict,
     config_hash,
@@ -33,9 +41,11 @@ from gupsim.storage import (
     load_record,
     save_config,
     save_dataset,
+    save_histogram,
     save_raw,
     save_record,
     save_spectrum,
+    write_columns,
 )
 
 TWO_PI = 2 * math.pi
@@ -397,6 +407,7 @@ class TestCli:
 
     def test_shift_scan(self, campaign_dir):
         out = campaign_dir / "out"
+        assert main(["analyze", "--in", str(out)]) == 0
         rc = main(["shift-scan", "--in", str(out)])
         assert rc == 0
         report = json.loads((out / "shift_scan.report").read_text())
@@ -438,6 +449,7 @@ class TestCli:
 
     def test_emit_plot_data(self, campaign_dir):
         out = campaign_dir / "out"
+        assert main(["analyze", "--in", str(out)]) == 0
         rc = main(["emit-plot-data", "--what", "histogram", "--in", str(out)])
         assert rc == 0
         rc = main(["emit-plot-data", "--what", "quadratures", "--in", str(out)])
@@ -445,6 +457,73 @@ class TestCli:
         pd = out / "plot_data"
         assert (pd / "shift_histogram_x.dat").exists()
         assert (pd / "quadrature_y.dat").exists()
+
+    def test_reports_feed_shift_scan_and_histogram(self, campaign_dir, tmp_path):
+        # the reports give what a fresh load and fit of every series gives, byte for byte
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(campaign_dir / "config.json"),
+                     "--out", str(out), "--series", "2"]) == 0
+        for argv in (["analyze"], ["shift-scan"], ["emit-plot-data", "--what", "histogram"]):
+            assert main([*argv, "--in", str(out)]) == 0
+        dirs = [out / "series_00", out / "series_01"]
+        datasets = [load_dataset(d) for d in dirs]
+        analyses = [analyze_dataset(ds) for ds in datasets]
+        points = [(f.f_m, f.gamma_eff_hz, f.gamma_eff_hz_err)
+                  for a in analyses for f in a.ringdown_fits]
+        scan = width_vs_shift_scan(points)
+        ref = tmp_path / "ref"
+        write_columns(ref / "shift_scan.dat", [], "f_m_hz width_hz width_err_hz",
+                      (f"{float(fm)!r} {float(w)!r} {float(we)!r}" for fm, w, we in points))
+        cfg = datasets[0].config
+        theory = spring_damping_slope(cfg.cavity, cfg.mode)
+        report = {"slope": scan.slope, "slope_err": scan.slope_err,
+                  "offset_hz": scan.offset, "offset_err_hz": scan.offset_err,
+                  "theory_slope": theory, "slope_over_theory": scan.slope / theory}
+        (ref / "shift_scan.report").write_text(
+            json.dumps(report, sort_keys=True, indent=2) + "\n")
+        summary = summarize_campaign(analyses)
+        save_histogram(summary.stats_x, ref / "plot_data" / "shift_histogram_x.dat")
+        save_histogram(summary.stats_y, ref / "plot_data" / "shift_histogram_y.dat")
+        for name in ("shift_scan.dat", "shift_scan.report", "plot_data/shift_histogram_x.dat",
+                     "plot_data/shift_histogram_y.dat"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+    def test_shift_scan_and_histogram_read_no_record(self, campaign_dir, monkeypatch,
+                                                     use_cpus):
+        # one worker, so a record read would be read in this process
+        use_cpus(1)
+        out = campaign_dir / "out"
+        assert main(["analyze", "--in", str(out)]) == 0
+        calls = []
+
+        def counting(name):
+            return lambda *args, **kw: calls.append(name)
+
+        for module, name in ((gupsim.cli, "load_dataset"), (gupsim.cli, "analyze_dataset"),
+                             (gupsim.storage, "load_record")):
+            monkeypatch.setattr(module, name, counting(name))
+        assert main(["shift-scan", "--in", str(out)]) == 0
+        assert main(["emit-plot-data", "--what", "histogram", "--in", str(out)]) == 0
+        assert calls == []
+
+    @pytest.mark.parametrize("argv, report", [
+        (["shift-scan"], "series_00/summary.report"),
+        (["emit-plot-data", "--what", "histogram"], "analysis.report"),
+    ], ids=["shift_scan", "histogram"])
+    def test_needs_analyze_first(self, tmp_path, capsys, argv, report):
+        cfg = small_config(schedule=ProtocolSchedule(group_size=5).with_duration(0.4))
+        save_config(cfg, tmp_path / "c.json")
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out)]) == 0
+        before = dir_digest(out)
+        capsys.readouterr()
+        assert main([*argv, "--in", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "FileNotFoundError",
+                       "message": f"{out / report} not found: run "
+                                  f"`gupsim analyze --in {out}` first"}
+        assert dir_digest(out) == before
 
     def test_emit_quadratures_golden(self, tmp_path):
         golden = Path(__file__).parent / "golden" / "analyze_config.json"
@@ -667,8 +746,10 @@ class TestCli:
         ["simulate", "--config", "c.json", "--out", "o", "--stationary", "-inf"],
         ["simulate", "--out", "o"],
         ["emit-plot-data", "--what", "figures", "--in", "o"],
+        ["analyze", "--in", "o", "--out", "x"],
         [],
-    ], ids=["stationary_minus_inf", "missing_config", "unknown_what", "no_command"])
+    ], ids=["stationary_minus_inf", "missing_config", "unknown_what", "analyze_out",
+            "no_command"])
     def test_rejected_argument_error(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
