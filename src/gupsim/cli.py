@@ -274,8 +274,11 @@ def cmd_bound(args) -> int:
     summary = json.loads(Path(args.summary).read_text())
     quad = args.quadrature.lower()
     key = f"shift_{quad}"
-    if key not in summary:
-        return _fail("MissingStatistics", f"summary lacks {key}")
+    missing = [k for k in (key, "operating", "mode") if k not in summary]
+    if missing:
+        return _fail("MissingStatistics", f"{args.summary} lacks {', '.join(missing)}: "
+                     "bound reads <in>/analysis.report, which `gupsim analyze --in <in>` "
+                     "writes")
     stats = _stats_from_dict(summary[key])
     op = summary["operating"]
     if op is None:
@@ -308,12 +311,12 @@ def cmd_emit_plot_data(args) -> int:
         print(f"wrote shift histograms to {outdir}")
     else:       # quadratures
         d = _dataset_dirs(root)[0]
-        group_size = load_config(d / "config.snapshot").schedule.group_size
-        ds = load_dataset(d, n_records=group_size)
+        ds = load_dataset(d, n_groups=1)
         groups = ds.grouped_records()
         if not groups:
-            raise InsufficientData(f"{d.name} has {len(ds.records)} cycles, fewer "
-                                   f"than one group of {group_size}")
+            sched = ds.config.schedule
+            raise InsufficientData(f"{d.name} has {sched.cycles_per_series} cycles, fewer "
+                                   f"than one group of {sched.group_size}")
         save_quadratures(groups[0], outdir, "quadrature")
         print(f"wrote quadrature traces to {outdir}")
     return 0

@@ -403,8 +403,9 @@ def width_vs_shift_scan(points: list[tuple[float, float, float]]) -> WidthShiftS
     records estimate the width far better than slow ones), so the fit is
     inverse-variance weighted by each point's reported width error.
     """
-    if len(points) < 2:
-        raise DegenerateSpan(f"need >= 2 fits, got {len(points)}")
+    if len(points) < 3:
+        # two points fit the line exactly and leave no residual to size its errors by
+        raise DegenerateSpan(f"need >= 3 fits, got {len(points)}")
     fm, width, werr = np.array(points, dtype=float).T
     span = fm.max() - fm.min()
     if span <= 1e-9 * max(abs(fm).max(), 1.0):
@@ -415,8 +416,7 @@ def width_vs_shift_scan(points: list[tuple[float, float, float]]) -> WidthShiftS
     rhs = width * w
     coef, *_ = np.linalg.lstsq(G, rhs, rcond=None)
     r = rhs - G @ coef
-    dof = max(fm.size - 2, 1)
-    sigma2 = float(r @ r) / dof
+    sigma2 = float(r @ r) / (fm.size - 2)
     cov = sigma2 * np.linalg.inv(G.T @ G)
     return WidthShiftScan(slope=float(coef[0]), offset=float(coef[1]),
                           slope_err=math.sqrt(abs(cov[0, 0])),

@@ -79,6 +79,12 @@ class ProtocolSchedule:
     def cycle(self) -> float:
         return self.pump_on + self.measure
 
+    def group_cycles(self) -> list[range]:
+        """Cycle indices of each group, in group order; a trailing partial group
+        is the last range, shorter than `group_size`."""
+        n, size = self.cycles_per_series, self.group_size
+        return [range(a, min(a + size, n)) for a in range(0, n, size)]
+
     def with_duration(self, series_duration: float) -> "ProtocolSchedule":
         """This schedule with as many whole cycles as fit in series_duration (s)."""
         return replace(self, cycles_per_series=round(series_duration / self.cycle))
@@ -134,22 +140,23 @@ class CampaignConfig:
 
 @dataclass
 class Dataset:
-    """One series of cycles plus the per-series configuration that produced it."""
+    """The group averages of one series plus the per-series configuration that
+    produced it.
 
-    records: list[QuadratureRecord]
+    With s = `schedule.group_size`, group g averages cycles g * s to
+    (g + 1) * s - 1 in cycle order (`average_records`), and carries
+    `cycle_index` g. A trailing partial group is not averaged. The cycles
+    themselves are not kept, so a series cannot be re-grouped in memory; a
+    new `group_size` changes the config hash, and so needs a new series.
+    """
+
+    groups: list[QuadratureRecord]
     config: CampaignConfig
     series_index: int = 0
 
     def grouped_records(self) -> list[QuadratureRecord]:
-        """Average consecutive cycles (same excitation phase) in groups of
-        `schedule.group_size`; a trailing partial group is dropped."""
-        group_size = self.config.schedule.group_size
-        out = []
-        n = len(self.records)
-        for g, start in enumerate(range(0, n - group_size + 1, group_size)):
-            out.append(average_records(self.records[start:start + group_size],
-                                       cycle_index=g))
-        return out
+        """The group averages, in group order."""
+        return self.groups
 
 
 def _measurement_rates(cfg: CampaignConfig) -> tuple[float, float, float, float]:
@@ -337,32 +344,38 @@ def series_provenance(cfg: CampaignConfig, series_index: int) -> dict:
     return {"seed": cfg.seed, "series_index": series_index, "tool_version": __version__}
 
 
-def map_cycles(fn, cfg: CampaignConfig, series_index: int, *args) -> list:
-    """`[fn(cfg, series_index, *args, k) for k in cycles]` over the series' cycles.
+def map_cycles(fn, cfg: CampaignConfig, series_index: int, items, *args) -> list:
+    """`[fn(cfg, series_index, *args, item) for item in items]`, where each item is
+    a cycle index or a range of them (one group).
 
     `cfg` is the per-series config. The calls run on the process pool of
-    `pool.chunked_map` and return in cycle order. The cycle template is built
+    `pool.chunked_map` and return in item order. The cycle template is built
     here, before the workers are forked, so they share one copy of it.
     """
     _cycle_template(cfg)
-    return chunked_map(fn, (cfg, series_index, *args),
-                       range(cfg.schedule.cycles_per_series))
+    return chunked_map(fn, (cfg, series_index, *args), items)
 
 
-def _series_cycle(cfg: CampaignConfig, series_index: int, cycle_index: int):
-    return run_cycle(cfg, cycle_index, cfg.cycle_seed(series_index, cycle_index))
+def _series_group(cfg: CampaignConfig, series_index: int, cycles: range):
+    return average_records([run_cycle(cfg, k, cfg.cycle_seed(series_index, k))
+                            for k in cycles],
+                           cycle_index=cycles.start // cfg.schedule.group_size)
 
 
 def run_series(cfg: CampaignConfig, series_index: int = 0) -> Dataset:
-    """All cycles of one series, in memory.
+    """The group averages of one series, in memory.
 
-    Each cycle draws from its own derived seed [seed, series, cycle], so the
-    cycles are made on the process pool (`map_cycles`) and come back in cycle
-    order, the same whatever the number of workers. Raw series are not kept:
-    `storage.save_dataset` writes them in the worker that makes them.
+    Each cycle draws from its own derived seed [seed, series, cycle]. The pool
+    (`map_cycles`) takes one group per call: the worker makes the group's
+    cycles, averages them in cycle order and returns the average alone, so no
+    cycle crosses a process boundary. The groups come back in group order, the
+    same whatever the number of workers. The cycles of a trailing partial
+    group are not made.
     """
     scfg = cfg.series_variant(series_index)
-    return Dataset(records=map_cycles(_series_cycle, scfg, series_index),
+    size = scfg.schedule.group_size
+    groups = [c for c in scfg.schedule.group_cycles() if len(c) == size]
+    return Dataset(groups=map_cycles(_series_group, scfg, series_index, groups),
                    config=scfg, series_index=series_index)
 
 
@@ -386,11 +399,10 @@ class SeriesAnalysis:
 
 
 def analyze_dataset(ds: Dataset) -> SeriesAnalysis:
-    """Group-average the cycles, fit ring-downs and early-window shifts.
+    """Fit ring-downs and early-window shifts to the series' group averages.
 
-    Everything comes from the series' config: the group size from its
-    schedule, the lock-in line offsets from its detection settings. The fits
-    use the default late and early windows of `estimation`.
+    The lock-in line offsets come from the series' detection settings. The
+    fits use the default late and early windows of `estimation`.
     """
     f_lower, f_upper = ds.config.detection.line_offsets
     fits = []

@@ -7,17 +7,20 @@ produce byte-identical artifacts. SI units with unit-annotated field names.
 `save_dataset` is the one series writer. It writes the per-series
 `CampaignConfig` as the snapshot, then makes every cycle on the process pool
 of `pool.chunked_map`; each worker writes the records of the cycles it makes.
-`load_dataset` reads the records back on the same pool into a `Dataset`,
-checks each record's `config_hash` against the snapshot's, and parses the
-snapshot with `config_from_dict`, the same parser `load_config` uses for
-config files. The bytes do not depend on the number of workers.
+`load_dataset` reads the records back on the same pool, one group per call:
+the worker reads the group's records, checks each record's `config_hash`
+against the snapshot's, and returns only their average, so the `Dataset` it
+builds holds the group averages. The snapshot is parsed with
+`config_from_dict`, the same parser `load_config` uses for config files. The
+bytes do not depend on the number of workers.
 
 `write_columns` writes every text export (spectra, quadrature traces, shift
 histograms, the shift-scan table).
 
 Dataset directory layout:
     config.snapshot          canonical JSON config + hash + provenance
-    records/NNNN.qrec        columnar text: t, X, Y with '# key: value' header
+    records/NNNN.qrec        columnar text: t, X, Y with '# key: value' header,
+                             one per cycle
     summary.report           JSON analysis summary (written by `analyze`)
 
 Stationary run layout (`simulate --stationary`):
@@ -27,6 +30,7 @@ Stationary run layout (`simulate --stationary`):
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -35,7 +39,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .detection import DetectionConfig, QuadratureRecord, SpectrumEstimate, TimeSeries
+from .detection import (
+    DetectionConfig,
+    QuadratureRecord,
+    SpectrumEstimate,
+    TimeSeries,
+    average_records,
+)
 from .dynamics import TWO_PI, DeformationParams, MechanicalMode
 from .errors import CorruptRecord
 from .estimation import ShiftStatistics
@@ -208,6 +218,13 @@ def load_config(path: Path) -> CampaignConfig:
 
 # --- record files ----------------------------------------------------------------
 
+# every cycle of a series has the same time base, so a worker formats its time
+# column once; a few entries cover the series of a campaign
+@functools.lru_cache(maxsize=4)
+def _time_column(t0: float, dt: float, n: int) -> tuple[str, ...]:
+    return tuple(map(repr, TimeSeries(t0, dt, np.zeros(n)).times.tolist()))
+
+
 def save_record(rec: QuadratureRecord, path: Path, cfg_hash: str):
     """Columnar text: '# key: value' header, with `cfg_hash` as the record's
     `config_hash`, then 't x_quad y_quad' rows."""
@@ -215,8 +232,9 @@ def save_record(rec: QuadratureRecord, path: Path, cfg_hash: str):
               "dt_s": rec.x_quad.dt, "n_samples": len(rec.x_quad),
               "config_hash": cfg_hash, "columns": "t_s x_quad y_quad"}
     lines = [f"# {k}: {_fmt(v)}" for k, v in header.items()]
-    lines.extend(map("{!r} {!r} {!r}".format, rec.times.tolist(),
-                     rec.x_quad.samples.tolist(), rec.y_quad.samples.tolist()))
+    t = _time_column(rec.x_quad.t0, rec.x_quad.dt, len(rec.x_quad))
+    lines.extend(map(" ".join, zip(t, map(repr, rec.x_quad.samples.tolist()),
+                                   map(repr, rec.y_quad.samples.tolist()))))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -316,29 +334,38 @@ def save_dataset(cfg: CampaignConfig, series_index: int, out_dir: Path) -> Campa
                               series_provenance(scfg, series_index).items()}
     (out / "config.snapshot").write_text(
         json.dumps(snapshot, sort_keys=True, indent=2) + "\n")
-    map_cycles(_make_and_write, scfg, series_index, out, snapshot["config_hash"])
+    map_cycles(_make_and_write, scfg, series_index,
+               range(scfg.schedule.cycles_per_series), out, snapshot["config_hash"])
     return scfg
 
 
-def _load_checked_record(cfg_hash: str, path: Path) -> QuadratureRecord:
-    # `chunked_map` passes the path last; `load_record` keeps it first
-    return load_record(path, cfg_hash)
+def _load_group(cfg_hash: str, records_dir: Path, group_size: int, cycles: range):
+    # `chunked_map` passes the group's cycles last; the records of a trailing
+    # partial group are checked but not averaged
+    records = [load_record(records_dir / f"{k:04d}.qrec", cfg_hash) for k in cycles]
+    if len(records) < group_size:
+        return None
+    return average_records(records, cycle_index=cycles.start // group_size)
 
 
-def load_dataset(ds_dir: Path, n_records: int | None = None) -> Dataset:
-    """Config snapshot and records of a series (the first `n_records`, or all).
+def load_dataset(ds_dir: Path, n_groups: int | None = None) -> Dataset:
+    """Config snapshot and group averages of a series (the first `n_groups`, or all).
 
-    The records, `0000.qrec` on to the snapshot's `cycles_per_series`, are read on
-    the process pool of `pool.chunked_map`. FileNotFoundError or CorruptRecord names
-    the first missing, damaged or foreign (config_hash) record in cycle order.
+    The records, `0000.qrec` on to the snapshot's `cycles_per_series`, are read
+    on the process pool of `pool.chunked_map`, one group per call. The worker
+    reads the group's records, averages them in cycle order
+    (`detection.average_records`) and returns the average alone. The records
+    of a trailing partial group are read and checked, but not averaged.
+    FileNotFoundError or CorruptRecord names the first missing, damaged or
+    foreign (config_hash) record in cycle order.
     """
     ds_dir = Path(ds_dir)
     snapshot = json.loads((ds_dir / "config.snapshot").read_text())
     cfg = config_from_dict(snapshot)
-    paths = [ds_dir / "records" / f"{k:04d}.qrec"
-             for k in range(cfg.schedule.cycles_per_series)][:n_records]
-    records = chunked_map(_load_checked_record, (snapshot.get("config_hash"),), paths)
-    return Dataset(records=records, config=cfg,
+    groups = chunked_map(_load_group, (snapshot.get("config_hash"), ds_dir / "records",
+                                       cfg.schedule.group_size),
+                         cfg.schedule.group_cycles()[:n_groups])
+    return Dataset(groups=[g for g in groups if g is not None], config=cfg,
                    series_index=int(snapshot.get("provenance", {}).get("series_index", 0)))
 
 

@@ -259,6 +259,9 @@ class TestWidthShiftScan:
             width_vs_shift_scan(points)
         with pytest.raises(DegenerateSpan):
             width_vs_shift_scan(points[:1])
+        # two points at two detunings fit exactly and leave no degree of freedom
+        with pytest.raises(DegenerateSpan, match="need >= 3 fits, got 2"):
+            width_vs_shift_scan([(0.0, 10.0, 1.0), (5.0, 20.0, 1.0)])
 
 
 class TestBetaBound:

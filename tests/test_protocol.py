@@ -7,7 +7,7 @@ import pytest
 
 import gupsim.detection
 import gupsim.protocol
-from gupsim.detection import DetectionConfig, lockin_demodulate, lockin_sos
+from gupsim.detection import DetectionConfig, average_records, lockin_demodulate, lockin_sos
 from gupsim.dynamics import DeformationParams, MechanicalMode, beta_tilde_for_epsilon
 from gupsim.estimation import fit_ringdown, fit_transient_shift
 from gupsim.optomech import OpticalCavity, optical_damping_and_spring
@@ -233,30 +233,45 @@ class TestCampaign:
         assert datasets[0].config.cavity.probe_detuning == 0.0
         assert datasets[1].config.cavity.probe_detuning == pytest.approx(0.05 * kappa)
 
+    def cycles(self, cfg, series_index=0):
+        """Every cycle of a series, made one by one with `run_cycle`."""
+        scfg = cfg.series_variant(series_index)
+        return [run_cycle(scfg, k, scfg.cycle_seed(series_index, k))
+                for k in range(scfg.schedule.cycles_per_series)]
+
     def test_record_count_equals_cycles(self):
+        # one group average per whole group of cycles, indexed by group; the
+        # trailing partial group (cycle 6) is not averaged
         cfg = self.small_cfg()
+        cfg = replace(cfg, schedule=replace(cfg.schedule, group_size=2,
+                                            cycles_per_series=7))
         ds = run_series(cfg, 0)
-        assert len(ds.records) == cfg.schedule.cycles_per_series
-        assert [r.cycle_index for r in ds.records] == list(
-            range(cfg.schedule.cycles_per_series))
+        assert len(ds.groups) == 3
+        assert [g.cycle_index for g in ds.groups] == [0, 1, 2]
+        cycles = self.cycles(cfg)
+        for g, group in enumerate(ds.groups):
+            want = average_records(cycles[2 * g:2 * g + 2])
+            assert group.x_quad.t0 == want.x_quad.t0 and group.x_quad.dt == want.x_quad.dt
+            np.testing.assert_array_equal(group.x_quad.samples, want.x_quad.samples)
+            np.testing.assert_array_equal(group.y_quad.samples, want.y_quad.samples)
 
     def test_grouped_records(self):
         cfg = self.small_cfg()
-        ds = run_series(cfg, 0)
+        cycles = self.cycles(cfg)
+
         def assert_group_means(groups, size):
             for g, group in enumerate(groups):
-                own = ds.records[g * size:(g + 1) * size]
+                own = cycles[g * size:(g + 1) * size]
                 for quad in ("x_quad", "y_quad"):
                     np.testing.assert_array_equal(
                         getattr(group, quad).samples,
                         np.mean([getattr(r, quad).samples for r in own], axis=0))
 
-        groups = ds.grouped_records()
+        groups = run_series(cfg, 0).grouped_records()
         assert len(groups) == 1
         assert_group_means(groups, 5)
         # the group size is the config's; a trailing partial group is dropped
-        pairs = replace(ds, config=replace(cfg, schedule=replace(cfg.schedule,
-                                                                 group_size=2)))
+        pairs = run_series(replace(cfg, schedule=replace(cfg.schedule, group_size=2)), 0)
         assert len(pairs.grouped_records()) == 2
         assert_group_means(pairs.grouped_records(), 2)
 
@@ -264,14 +279,19 @@ class TestCampaign:
         cfg = self.small_cfg()
         a = run_campaign(cfg, 1)[0]
         b = run_campaign(cfg, 1)[0]
-        for ra, rb in zip(a.records, b.records):
+        assert len(a.groups) == len(b.groups) == 1
+        for ra, rb in zip(a.groups, b.groups):
             assert np.array_equal(ra.x_quad.samples, rb.x_quad.samples)
+            assert np.array_equal(ra.y_quad.samples, rb.y_quad.samples)
 
     def test_excitation_sweep_changes_amplitude(self):
         cfg = self.small_cfg(alpha_sq_per_series=(400.0, 1600.0))
         datasets = run_campaign(cfg, 2)
-        a0 = np.max(np.abs(datasets[0].records[0].x_quad.samples))
-        a1 = np.max(np.abs(datasets[1].records[0].x_quad.samples))
+        for s, ds in enumerate(datasets):
+            want = average_records(self.cycles(cfg, s))
+            np.testing.assert_array_equal(ds.groups[0].x_quad.samples, want.x_quad.samples)
+        a0 = np.max(np.abs(datasets[0].groups[0].x_quad.samples))
+        a1 = np.max(np.abs(datasets[1].groups[0].x_quad.samples))
         assert a1 / a0 == pytest.approx(2.0, rel=0.2)
 
 
@@ -334,7 +354,7 @@ class TestCycleCache:
         assert same_record(forward[1], backward[0])
 
     def test_each_series_builds_its_own_template(self):
-        cfg = self.cfg(schedule=ProtocolSchedule().with_duration(0.12),
+        cfg = self.cfg(schedule=ProtocolSchedule(group_size=1).with_duration(0.12),
                        series_probe_detunings=(0.0, TWO_PI * 30e3))
         clear_cycle_caches()
         datasets = run_campaign(cfg, 2)
@@ -343,7 +363,9 @@ class TestCycleCache:
         assert not np.array_equal(t0.rot, t1.rot)
         for ds in datasets:
             clear_cycle_caches()
-            for rec in ds.records:
+            assert len(ds.groups) == 3
+            # a group of one cycle averages to that cycle's record, bit for bit
+            for rec in ds.groups:
                 seed = cfg.cycle_seed(ds.series_index, rec.cycle_index)
                 assert same_record(rec, run_cycle(ds.config, rec.cycle_index, seed))
 

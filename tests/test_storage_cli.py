@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gupsim.cli
+import gupsim.protocol
 import gupsim.storage
 from gupsim.cli import main
 from gupsim.detection import (
@@ -206,6 +207,30 @@ class TestConfigRoundTrip:
         assert config_hash(d1) != config_hash(d2)
 
 
+def spy_on_pool(monkeypatch, module):
+    """Patch `module.chunked_map` to note how many results each call returns."""
+    returned = []
+    pool_map = module.chunked_map
+
+    def spy(fn, args, items):
+        out = pool_map(fn, args, items)
+        returned.append(len(out))
+        return out
+
+    monkeypatch.setattr(module, "chunked_map", spy)
+    return returned
+
+
+def assert_groups_average(groups, cycles, size):
+    """Each group is bit-equal to `average_records` over its own cycles."""
+    assert len(groups) == len(cycles) // size
+    for g, group in enumerate(groups):
+        want = average_records(cycles[g * size:(g + 1) * size])
+        assert group.x_quad.t0 == want.x_quad.t0 and group.x_quad.dt == want.x_quad.dt
+        np.testing.assert_array_equal(group.x_quad.samples, want.x_quad.samples)
+        np.testing.assert_array_equal(group.y_quad.samples, want.y_quad.samples)
+
+
 class TestRecordIO:
     def test_record_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -235,6 +260,27 @@ class TestRecordIO:
             b"0.0 1.0 0.1\n"
             b"0.5 -2.5e-07 1e+16\n"
             b"1.0 3.141592653589793 -0.0\n")
+
+    def test_record_bytes_alternating_time_bases(self, tmp_path):
+        # the time column is formatted once per (t0, dt, n); records on several
+        # time bases, written in turn, hold the rows that per-row formatting
+        # gave. Each base differs from the first in one of t0, dt and n, and
+        # -0.0 gives the time column of 0.0.
+        rng = np.random.default_rng(8)
+        bases = [(0.0, 3.2e-6, 64), (-0.002, 3.2e-6, 64), (0.0, 4e-7, 64),
+                 (0.0, 3.2e-6, 63), (-0.0, 3.2e-6, 64)]
+        for i, (t0, dt, n) in enumerate(bases * 2):
+            rec = QuadratureRecord(TimeSeries(t0, dt, rng.standard_normal(n)),
+                                   TimeSeries(t0, dt, 1e3 * rng.standard_normal(n)),
+                                   cycle_index=i)
+            path = tmp_path / f"{i:04d}.qrec"
+            save_record(rec, path, "0123456789ab")
+            rows = map("{!r} {!r} {!r}".format, rec.times.tolist(),
+                       rec.x_quad.samples.tolist(), rec.y_quad.samples.tolist())
+            head = (f"# format: qrec-1\n# cycle_index: {i}\n# t0_s: {t0!r}\n"
+                    f"# dt_s: {dt!r}\n# n_samples: {n}\n# config_hash: 0123456789ab\n"
+                    f"# columns: t_s x_quad y_quad\n")
+            assert path.read_text() == head + "\n".join(rows) + "\n"
 
     @pytest.mark.parametrize("damage, match", [
         (lambda text: text[:-5], "0000.qrec"),                            # cut mid-number
@@ -299,20 +345,31 @@ class TestRecordIO:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "CorruptRecord" and "0000.braw" in err["message"]
 
-    def test_dataset_round_trip(self, tmp_path):
-        cfg = small_config(series_probe_detunings=(0.0, TWO_PI * 30e3))
+    def test_dataset_round_trip(self, tmp_path, monkeypatch, use_cpus):
+        # 5 cycles in groups of 2: two group averages, and cycle 4 on disk alone
+        cfg = small_config(schedule=ProtocolSchedule(group_size=2).with_duration(0.2),
+                           series_probe_detunings=(0.0, TWO_PI * 30e3))
         scfg = cfg.series_variant(1)
         assert save_dataset(cfg, 1, tmp_path / "d") == scfg
         assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
             "config.snapshot", "records"]
-        back = load_dataset(tmp_path / "d")
-        assert back.config == scfg and back.series_index == 1
-        assert len(back.records) == cfg.schedule.cycles_per_series
-        for k, rec in enumerate(back.records):
-            want = run_cycle(scfg, k, scfg.cycle_seed(1, k))
+        h = snapshot_hash(tmp_path / "d")
+        cycles = [run_cycle(scfg, k, scfg.cycle_seed(1, k)) for k in range(5)]
+        for k, want in enumerate(cycles):
+            rec = load_record(tmp_path / "d" / "records" / f"{k:04d}.qrec", h)
             assert rec.cycle_index == k
             np.testing.assert_array_equal(rec.x_quad.samples, want.x_quad.samples)
             np.testing.assert_array_equal(rec.y_quad.samples, want.y_quad.samples)
+        returned = spy_on_pool(monkeypatch, gupsim.storage)
+        for n in (1, 2):
+            use_cpus(n)
+            back = load_dataset(tmp_path / "d")
+            assert back.config == scfg and back.series_index == 1
+            assert [g.cycle_index for g in back.groups] == [0, 1]
+            assert_groups_average(back.groups, cycles, 2)
+            # the pool returns the two group averages and the partial group's
+            # None, not one record per cycle
+            assert returned.pop() == 3
 
     def test_spectrum_export(self, tmp_path):
         spec = SpectrumEstimate(freqs=np.array([1.0, 2.0, 3.0]),
@@ -428,6 +485,19 @@ class TestCli:
         result = json.loads(capsys.readouterr().out)
         assert result["beta0_limit"] > 0
         assert result["convention"] == "mean-square-displacement"
+
+    def test_bound_refuses_series_summary(self, campaign_dir, capsys):
+        out = campaign_dir / "out"
+        assert main(["analyze", "--in", str(out)]) == 0
+        capsys.readouterr()
+        summary = out / "series_00" / "summary.report"
+        assert main(["bound", "--summary", str(summary)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {
+            "error": "MissingStatistics",
+            "message": f"{summary} lacks operating, mode: bound reads "
+                       "<in>/analysis.report, which `gupsim analyze --in <in>` writes"}
+        assert captured.out == ""
 
     def test_bound_refuses_amplitude_sweep(self, tmp_path, capsys):
         # two |alpha|^2 give two operating points, and the pooled shifts map to neither
@@ -787,19 +857,39 @@ class TestWorkers:
             digests.append(dir_digest(out))
         assert digests[0] == digests[1]
 
-    def test_run_series_equals_run_cycle(self, use_cpus):
-        use_cpus(2)
+    def test_run_series_equals_run_cycle(self, monkeypatch, use_cpus):
+        # 10 cycles in groups of 4: two group averages, and cycles 8 and 9 not made
         cfg = self.cfg(series_probe_detunings=(0.0, TWO_PI * 30e3),
                        shift_injection=(300.0, 2e-5))
-        ds = run_series(cfg, 1)
+        cfg = dataclasses.replace(cfg, schedule=dataclasses.replace(cfg.schedule,
+                                                                    group_size=4))
         scfg = cfg.series_variant(1)
-        assert ds.config == scfg
-        assert [r.cycle_index for r in ds.records] == list(range(10))
-        for k, rec in enumerate(ds.records):
-            want = run_cycle(scfg, k, scfg.cycle_seed(1, k))
-            assert rec.x_quad.t0 == want.x_quad.t0
-            np.testing.assert_array_equal(rec.x_quad.samples, want.x_quad.samples)
-            np.testing.assert_array_equal(rec.y_quad.samples, want.y_quad.samples)
+        cycles = [run_cycle(scfg, k, scfg.cycle_seed(1, k)) for k in range(8)]
+        returned = spy_on_pool(monkeypatch, gupsim.protocol)
+        for n in (1, 2):
+            use_cpus(n)
+            ds = run_series(cfg, 1)
+            assert ds.config == scfg
+            assert [g.cycle_index for g in ds.groups] == [0, 1]
+            assert_groups_average(ds.groups, cycles, 4)
+            # the pool returns one record per group, not one per cycle
+            assert returned.pop() == 2
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_damaged_record_in_partial_group_reported(self, tmp_path, capsys, use_cpus,
+                                                      n_cpus):
+        # cycles 10 and 11 form no whole group of 5, yet are read and checked
+        use_cpus(n_cpus)
+        save_dataset(small_config(schedule=ProtocolSchedule(group_size=5,
+                                                            cycles_per_series=12)),
+                     0, tmp_path / "d")
+        path = tmp_path / "d" / "records" / "0011.qrec"
+        path.write_text(path.read_text()[:-5])
+        with pytest.raises(CorruptRecord, match="0011.qrec"):
+            load_dataset(tmp_path / "d")
+        assert main(["analyze", "--in", str(tmp_path / "d")]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "CorruptRecord" and "0011.qrec" in err["message"]
 
     @pytest.mark.parametrize("sample", ["nan", "inf", "-inf"])
     def test_non_finite_sample_rejected(self, tmp_path, capsys, use_cpus, sample):
