@@ -27,7 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .detection import average_spectra, fit_lorentzian_pair, synthesize_bhd, welch_psd
+from .detection import (
+    _stationary_carriers,
+    average_spectra,
+    fit_lorentzian_pair,
+    synthesize_bhd,
+    welch_psd,
+)
 from .dynamics import TWO_PI, purity
 from .errors import GupsimError, InsufficientData, SegmentTooLong
 from .estimation import ShiftStatistics, beta_bound, width_vs_shift_scan
@@ -114,7 +120,9 @@ def _simulate_stationary(cfg, out: Path, duration: float) -> int:
     """Pump-on stationary records in 1 s chunks, for sideband thermometry.
 
     Each chunk draws from its own seed `[seed, k]` and is made and written by
-    a pool worker, so the bytes do not depend on the number of workers.
+    a pool worker, so the bytes do not depend on the number of workers. Each
+    process that makes chunks builds their carriers at its first chunk; this
+    one lets go of them when the chunks are written.
     """
     chunk = 1.0
     if not (duration >= chunk and (duration / chunk).is_integer()):
@@ -126,7 +134,10 @@ def _simulate_stationary(cfg, out: Path, duration: float) -> int:
     if any(raw_dir.glob("*.braw")):
         raise FileExistsError(f"{raw_dir} already holds .braw records")
     raw_dir.mkdir(parents=True, exist_ok=True)
-    chunked_map(_write_stationary_chunk, (cfg, raw_dir, chunk), range(n_chunks))
+    try:
+        chunked_map(_write_stationary_chunk, (cfg, raw_dir, chunk), range(n_chunks))
+    finally:
+        _stationary_carriers.cache_clear()
     # written last: a run that fails partway leaves no snapshot to read its chunks by
     save_config(cfg, out / "config.snapshot")
     print(f"wrote {n_chunks} stationary records to {raw_dir}")
@@ -213,11 +224,11 @@ def _stationary_spectrum(target: Path, resolution: float):
     spectra = []
     for p in raw_paths:
         ts = load_raw(p)
-        if len(ts) >= seg:
-            spectra.append(welch_psd(ts, segment_length=seg))
+        if len(ts) < seg:
+            raise SegmentTooLong(f"{p} holds {len(ts)} samples, fewer than one "
+                                 f"{seg}-sample segment at --resolution {resolution!r} Hz")
+        spectra.append(welch_psd(ts, segment_length=seg))
         del ts
-    if not spectra:
-        raise SegmentTooLong("raw records shorter than one PSD segment")
     return average_spectra(spectra), det, root
 
 

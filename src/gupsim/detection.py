@@ -30,7 +30,7 @@ from .errors import (
     SegmentTooLong,
 )
 from .leastsq import damped_gauss_newton
-from .optomech import CooledState, OpticalCavity, occupancy_from_ratio
+from .optomech import CooledState, OpticalCavity
 
 SIDEBAND_HALFWIDTH_HZ = 9e3     # half-width of each sideband's fit window
 COHERENT_EXCLUDE_BINS = 4       # bins either side of a sideband left out of the fit
@@ -233,6 +233,20 @@ def assemble_bhd(env_stokes: np.ndarray, env_antistokes: np.ndarray,
     return s
 
 
+# each 1 s chunk of `simulate --stationary` shares its carriers with the
+# others; the pair costs 32 bytes per sample (80 MB per 1 s chunk at 2.5 MHz)
+# and is held by each worker that makes chunks
+@functools.lru_cache(maxsize=1)
+def _stationary_carriers(f_s: float, f_as: float, dt: float,
+                         n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Stokes and anti-Stokes carriers on the time base dt * arange(n)."""
+    t = dt * np.arange(n)
+    out = (carrier(f_s, t), carrier(f_as, t))
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def synthesize_bhd(state: CooledState, mode: MechanicalMode, cavity: OpticalCavity,
                    det: DetectionConfig, duration: float, seed) -> TimeSeries:
     """Stationary heterodyne output with motional sidebands around the carrier offsets.
@@ -258,11 +272,7 @@ def synthesize_bhd(state: CooledState, mode: MechanicalMode, cavity: OpticalCavi
     alpha = complex(math.sqrt(state.alpha_sq))
     env_s += alpha
     env_as += alpha
-    # made here, one record at a time: at 2.5 MHz a cached pair of carriers
-    # would hold 80 MB per simulated second
-    t = dt * np.arange(n)
-    c_s, c_as = carrier(f_s, t), carrier(f_as, t)
-    del t
+    c_s, c_as = _stationary_carriers(f_s, f_as, dt, n)
     samples = assemble_bhd(env_s, env_as, c_s, c_as, det.background_psd, fs, rng)
     return TimeSeries(t0=0.0, dt=dt, samples=samples)
 
@@ -425,7 +435,8 @@ class LorentzianPairFit:
 
     @property
     def occupancy(self) -> float:
-        return occupancy_from_ratio(self._ratio_above_1())
+        """Inverse sideband thermometry n_bar = 1/(R - 1)."""
+        return 1.0 / (self._ratio_above_1() - 1.0)
 
     @property
     def occupancy_err(self) -> float:

@@ -1,10 +1,10 @@
 """Statistical model of the cavity-oscillator interaction.
 
-Covers optical damping and spring in the small-detuning (probe) regime, the
-short-time re-thermalization rate after cooling switch-off, and the inverse
-sideband thermometer n_bar = 1/(R - 1). The cooled operating point (n_bar,
-Gamma_eff, |alpha|^2) is a configured target rather than derived from a full
-quantum model.
+Covers optical damping and spring in the small-detuning (probe) regime and
+the short-time re-thermalization rate after cooling switch-off. The cooled
+operating point (n_bar, Gamma_eff, |alpha|^2) is a configured target rather
+than derived from a full quantum model; the sideband thermometer that measures
+n_bar = 1/(R - 1) is `detection.LorentzianPairFit.occupancy`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .dynamics import HBAR, K_B, TWO_PI, MechanicalMode
-from .errors import NegativeOccupancy, OutsideLinearRegime, RatioUndefined
+from .errors import NegativeOccupancy, OutsideLinearRegime
 
 
 @dataclass(frozen=True)
@@ -74,9 +74,3 @@ def rethermalization_rate(mode: MechanicalMode) -> float:
     """Short-time phonon arrival rate k_B*T/(hbar*Q), in phonons per second."""
     return K_B * mode.T_bath / (HBAR * mode.quality_factor)
 
-
-def occupancy_from_ratio(ratio: float) -> float:
-    """Inverse thermometry n_bar = 1/(R - 1)."""
-    if ratio <= 1.0:
-        raise RatioUndefined(f"ratio must exceed 1, got {ratio}")
-    return 1.0 / (ratio - 1.0)

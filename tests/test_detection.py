@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gupsim.detection
 from gupsim.detection import (
     DetectionConfig,
     SpectrumEstimate,
@@ -246,6 +248,37 @@ class TestWelchPsd:
         fit = fit_lorentzian_pair(average_spectra(spectra), DET)
         width = 0.5 * (fit.stokes.width + fit.antistokes.width)
         assert width == pytest.approx(6000.0, rel=0.05)
+
+
+class TestStationaryCarriers:
+    """The carriers of stationary chunks are cached; chunks must not depend on the cache."""
+
+    STATE = CooledState(n_bar=5.0, gamma_eff=TWO_PI * 6000.0, omega_eff=DET.omega_exc,
+                        alpha_sq=35.0)
+
+    def chunk(self, seed, duration=1.0, state=STATE):
+        return synthesize_bhd(state, MODE, CAVITY, DET, duration, seed)
+
+    def test_chunk_independent_of_cache(self):
+        cache = gupsim.detection._stationary_carriers
+        cache.cache_clear()
+        cold = self.chunk([4, 1])
+        # calls at another duration, then at other sideband frequencies, take
+        # the cache; the second chunk after them is made from the cache
+        self.chunk([4, 0], duration=0.01)
+        self.chunk([4, 0], state=replace(self.STATE,
+                                         omega_eff=DET.omega_exc + TWO_PI * 1e3))
+        warm = [self.chunk([4, 1]), self.chunk([4, 1])]
+        assert cache.cache_info().hits == 1
+        for ts in warm:
+            assert (ts.t0, ts.dt) == (cold.t0, cold.dt)
+            assert ts.samples.tobytes() == cold.samples.tobytes()
+
+    def test_cached_carriers_are_read_only(self):
+        for c in gupsim.detection._stationary_carriers(DET.stokes_freq, DET.antistokes_freq,
+                                                       1.0 / DET.sample_rate, 1000):
+            with pytest.raises(ValueError):
+                c[0] = 1.0
 
 
 class TestLorentzianPair:

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gupsim.detection import LorentzianPairFit, SidebandFit
 from gupsim.dynamics import MechanicalMode
 from gupsim.errors import NegativeOccupancy, OutsideLinearRegime, RatioUndefined
 from gupsim.optomech import (
     CooledState,
     OpticalCavity,
-    occupancy_from_ratio,
     optical_damping_and_spring,
     rethermalization_rate,
     spring_damping_slope,
@@ -86,6 +86,14 @@ class TestRethermalize:
             exact = n0 * decay + n_th * (1.0 - decay)
             linear = n0 + rate * t
             assert abs(exact - linear) / n_th < 0.01
+
+
+def occupancy_from_ratio(ratio: float) -> float:
+    """The sideband thermometer, `LorentzianPairFit.occupancy`, at the ratio R."""
+    side = SidebandFit(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    return LorentzianPairFit(stokes=side, antistokes=side, background=(0.0, 0.0),
+                             corrected_ratio=ratio, corrected_ratio_err=0.0,
+                             window_masks=(), excluded_masks=()).occupancy
 
 
 class TestSidebandWeights:

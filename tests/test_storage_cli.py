@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import gupsim.cli
+import gupsim.detection
 import gupsim.protocol
 import gupsim.storage
 from gupsim.cli import main
@@ -767,6 +768,30 @@ class TestCli:
         report = json.loads((tmp_path / "single.report").read_text())
         assert math.isfinite(report["n_bar"])
 
+    def test_thermometry_refuses_short_chunk(self, tmp_path, capsys):
+        # 1000 samples hold no 50 Hz segment: the chunk is refused, not left out
+        save_config(small_config(alpha_sq=0.0), tmp_path / "c.json")
+        root = tmp_path / "th"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(root), "--stationary", "2"]) == 0
+        short = root / "stationary" / "0002.braw"
+        save_raw(TimeSeries(0.0, 4e-7, np.random.default_rng(3).standard_normal(1000)),
+                 short)
+        capsys.readouterr()
+        assert main(["thermometry", "--in", str(root)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "SegmentTooLong" and str(short) in err["message"]
+        assert not (root / "thermometry.report").exists()
+
+    def test_stationary_leaves_no_carriers(self, tmp_path, use_cpus):
+        # with one CPU the chunks are made in this process, which then lets
+        # go of their carriers
+        use_cpus(1)
+        save_config(small_config(alpha_sq=0.0), tmp_path / "c.json")
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(tmp_path / "th"), "--stationary", "2"]) == 0
+        assert gupsim.detection._stationary_carriers.cache_info().currsize == 0
+
     def test_machine_readable_error(self, tmp_path, capsys):
         rc = main(["analyze", "--in", str(tmp_path / "nothing")])
         assert rc != 0
@@ -965,8 +990,9 @@ class TestWorkers:
         save_config(small_config(), tmp_path / "config.snapshot")
         (tmp_path / "stationary").mkdir()
         rng = np.random.default_rng(6)
+        # each chunk holds one segment at the default 50 Hz resolution
         for k in range(4):
-            save_raw(TimeSeries(0.0, 4e-7, rng.standard_normal(64)),
+            save_raw(TimeSeries(0.0, 4e-7, rng.standard_normal(50_000)),
                      tmp_path / "stationary" / f"{k:04d}.braw")
         for k in (3, 2):
             path = tmp_path / "stationary" / f"{k:04d}.braw"
