@@ -8,7 +8,13 @@ import argparse
 from dataclasses import replace
 from pathlib import Path
 
-from gupsim.detection import average_spectra, fit_lorentzian_pair, synthesize_bhd, welch_psd
+from gupsim.detection import (
+    WELCH_RESOLUTION_HZ,
+    average_spectra,
+    fit_lorentzian_pair,
+    synthesize_bhd,
+    welch_psd,
+)
 from gupsim.protocol import analyze_dataset, run_campaign, summarize_campaign
 from gupsim.storage import load_config, save_histogram, save_quadratures, save_spectrum
 
@@ -28,13 +34,14 @@ def main():
 
     cfg = replace(load_config(CONFIG), seed=args.seed)
     det = cfg.detection
+    seg = round(det.sample_rate / WELCH_RESOLUTION_HZ)
 
     for name, n_bar, alpha_sq in (("cooled", 5.0, 0.0), ("excited", 6.6, 35.0)):
         state = replace(cfg, n_bar=n_bar, alpha_sq=alpha_sq).operating_state
         spectra = []
         for k in range(args.seconds):
             ts = synthesize_bhd(state, cfg.mode, cfg.cavity, det, 1.0, [args.seed, k])
-            spectra.append(welch_psd(ts, segment_length=50000))
+            spectra.append(welch_psd(ts, segment_length=seg))
         spec = average_spectra(spectra)
         fit = fit_lorentzian_pair(spec, det)
         save_spectrum(spec, out / f"sidebands_{name}.dat",

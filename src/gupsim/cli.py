@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands:
-    simulate        run a campaign from a config file, write dataset directories
-    analyze         ring-down + transient-shift fits, summary.report and analysis.report
-    thermometry     PSD, Lorentzian pair fit, occupancy and purity report
-    shift-scan      width-vs-shift table and regression from each summary.report
-    bound           deformation-parameter upper limit from analysis.report
-    emit-plot-data  two-column text exports (spectra, histograms, quadratures)
+    simulate      run a campaign from a config file, write dataset directories
+    analyze       ring-down + transient-shift fits: summary.report, analysis.report,
+                  plot_data/quadrature_{x,y}.dat and plot_data/shift_histogram_{x,y}.dat
+    thermometry   50 Hz PSD, Lorentzian pair fit: plot_data/heterodyne_spectrum.dat
+                  and the occupancy and purity report
+    shift-scan    width-vs-shift table and regression from each summary.report
+    bound         deformation-parameter upper limit from analysis.report
 
 Only `analyze` loads records and fits groups; the commands after it read its reports.
+Each command writes the plot files of the data it holds, under its `--in`.
 
 Every failure exits nonzero after printing a machine-readable JSON error
 record to stderr.
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
@@ -28,6 +29,7 @@ import numpy as np
 
 from . import __version__
 from .detection import (
+    WELCH_RESOLUTION_HZ,
     _stationary_carriers,
     average_spectra,
     fit_lorentzian_pair,
@@ -35,7 +37,7 @@ from .detection import (
     welch_psd,
 )
 from .dynamics import TWO_PI, purity
-from .errors import GupsimError, InsufficientData, SegmentTooLong
+from .errors import GupsimError, SegmentTooLong
 from .estimation import ShiftStatistics, beta_bound, width_vs_shift_scan
 from .optomech import CooledState, spring_damping_slope
 from .pool import chunked_map
@@ -145,7 +147,6 @@ def _simulate_stationary(cfg, out: Path, duration: float) -> int:
 
 
 def _dataset_dirs(root: Path) -> list[Path]:
-    root = Path(root)
     if (root / "records").is_dir():
         return [root]
     dirs = sorted(p for p in root.glob("series_*") if (p / "records").is_dir())
@@ -155,10 +156,14 @@ def _dataset_dirs(root: Path) -> list[Path]:
 
 
 def cmd_analyze(args) -> int:
-    dirs = _dataset_dirs(Path(args.indir))
+    root = Path(args.indir)
+    dirs = _dataset_dirs(root)
     analyses, configs = [], []
     for d in dirs:
         ds = load_dataset(d)
+        # written before any fit, so a fit that fails leaves the traces to look at
+        if d == dirs[0] and ds.groups:
+            save_quadratures(ds.groups[0], root / "plot_data", "quadrature")
         configs.append(ds.config)
         analyses.append(analyze_dataset(ds))
     for d, a, cfg in zip(dirs, analyses, configs):
@@ -195,8 +200,10 @@ def cmd_analyze(args) -> int:
             "y": summary.stats_y.null_compatible(),
         },
     }
-    out = Path(args.indir) / "analysis.report"
+    out = root / "analysis.report"
     out.write_text(json.dumps(campaign, sort_keys=True, indent=2) + "\n")
+    for name, stats in (("x", summary.stats_x), ("y", summary.stats_y)):
+        save_histogram(stats, root / "plot_data" / f"shift_histogram_{name}.dat")
     print(f"X: mean {summary.stats_x.mean:+.1f} Hz, std {summary.stats_x.std:.1f} Hz, "
           f"n {summary.stats_x.n_samples}, z {summary.stats_x.z_score:+.2f}")
     print(f"Y: mean {summary.stats_y.mean:+.1f} Hz, std {summary.stats_y.std:.1f} Hz, "
@@ -205,35 +212,26 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _stationary_spectrum(target: Path, resolution: float):
-    """(averaged Welch spectrum, detection config, run directory) of the .braw
-    chunks of a `simulate --stationary` run, given its directory or one chunk in
-    its `stationary/`; one chunk's samples are in memory at a time."""
-    if not (resolution > 0 and math.isfinite(resolution)):
-        raise ValueError(f"--resolution must be a positive finite number of Hz, "
-                         f"got {resolution!r}")
-    if target.is_file():
-        raw_paths, root = [target], target.parent.parent
-    else:
-        raw_paths, root = sorted((target / "stationary").glob("*.braw")), target
+def cmd_thermometry(args) -> int:
+    """Average the Welch spectra of a `simulate --stationary` run's .braw chunks,
+    one chunk in memory at a time, write the average, then fit it."""
+    root = Path(args.indir)
+    raw_paths = sorted((root / "stationary").glob("*.braw"))
     if not raw_paths:
-        raise FileNotFoundError(f"no stationary records under {target} "
+        raise FileNotFoundError(f"no stationary records under {root} "
                                 "(write them with simulate --stationary)")
     det = load_config(root / "config.snapshot").detection
-    seg = int(round(det.sample_rate / resolution))
+    seg = int(round(det.sample_rate / WELCH_RESOLUTION_HZ))
     spectra = []
     for p in raw_paths:
         ts = load_raw(p)
         if len(ts) < seg:
             raise SegmentTooLong(f"{p} holds {len(ts)} samples, fewer than one "
-                                 f"{seg}-sample segment at --resolution {resolution!r} Hz")
+                                 f"{seg}-sample segment at {WELCH_RESOLUTION_HZ:g} Hz")
         spectra.append(welch_psd(ts, segment_length=seg))
         del ts
-    return average_spectra(spectra), det, root
-
-
-def cmd_thermometry(args) -> int:
-    spec, det, root = _stationary_spectrum(Path(args.indir), args.resolution)
+    spec = average_spectra(spectra)
+    save_spectrum(spec, root / "plot_data" / "heterodyne_spectrum.dat")
     fit = fit_lorentzian_pair(spec, det)
     report = {
         "n_averages": spec.n_averages,
@@ -307,32 +305,6 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def cmd_emit_plot_data(args) -> int:
-    root = Path(args.indir)
-    outdir = Path(args.out) if args.out else root / "plot_data"
-    if args.what == "spectra":
-        spec, _, _ = _stationary_spectrum(root, args.resolution)
-        save_spectrum(spec, outdir / "heterodyne_spectrum.dat")
-        print(f"wrote {outdir / 'heterodyne_spectrum.dat'}")
-    elif args.what == "histogram":
-        summary = _analyze_report(root / "analysis.report", args.indir)
-        for name in ("x", "y"):
-            save_histogram(_stats_from_dict(summary[f"shift_{name}"]),
-                           outdir / f"shift_histogram_{name}.dat")
-        print(f"wrote shift histograms to {outdir}")
-    else:       # quadratures
-        d = _dataset_dirs(root)[0]
-        ds = load_dataset(d, n_groups=1)
-        groups = ds.grouped_records()
-        if not groups:
-            sched = ds.config.schedule
-            raise InsufficientData(f"{d.name} has {sched.cycles_per_series} cycles, fewer "
-                                   f"than one group of {sched.group_size}")
-        save_quadratures(groups[0], outdir, "quadrature")
-        print(f"wrote quadrature traces to {outdir}")
-    return 0
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises a rejected argument for `main` to report; subcommand parsers inherit it."""
 
@@ -362,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("thermometry", help="sideband thermometry from stationary records")
     s.add_argument("--in", dest="indir", required=True)
     s.add_argument("--out", default=None)
-    s.add_argument("--resolution", type=float, default=50.0)
     s.set_defaults(func=cmd_thermometry)
 
     s = sub.add_parser("shift-scan", help="width-vs-shift regression")
@@ -374,13 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--quadrature", default="x", choices=["x", "y", "X", "Y"])
     s.set_defaults(func=cmd_bound)
 
-    s = sub.add_parser("emit-plot-data", help="two-column exports of figures content")
-    s.add_argument("--what", required=True,
-                   choices=["spectra", "histogram", "quadratures"])
-    s.add_argument("--in", dest="indir", required=True)
-    s.add_argument("--out", default=None)
-    s.add_argument("--resolution", type=float, default=50.0)
-    s.set_defaults(func=cmd_emit_plot_data)
     return p
 
 

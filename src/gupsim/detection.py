@@ -36,6 +36,7 @@ SIDEBAND_HALFWIDTH_HZ = 9e3     # half-width of each sideband's fit window
 COHERENT_EXCLUDE_BINS = 4       # bins either side of a sideband left out of the fit
 PEAK_MIN_SIGMA = 5.0            # significance a coherent peak must reach
 LOCKIN_REF_OFFSET_HZ = 4e3      # lock-in reference below the excitation tone
+WELCH_RESOLUTION_HZ = 50.0      # bin width of the thermometry spectrum
 
 
 @dataclass(frozen=True)

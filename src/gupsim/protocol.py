@@ -111,6 +111,8 @@ class CampaignConfig:
     def __post_init__(self):
         if self.n_bar < 0 or self.alpha_sq < 0:
             raise ValueError("n_bar and alpha_sq must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.schedule.pump_on * self.gamma_eff < 10.0:
             warnings.warn("pump_on is not long compared to 1/gamma_eff; the "
                           "stationary-state assumption is doubtful", stacklevel=2)
@@ -166,11 +168,8 @@ def _measurement_rates(cfg: CampaignConfig) -> tuple[float, float, float, float]
     n(t)+1 and n(t) exactly at zero probe detuning; an anti-damped probe
     contributes its gain quantum noise with a positive kick rate.
     """
-    if cfg.cavity.probe_detuning != 0.0:
-        gamma_opt, d_omega = optical_damping_and_spring(
-            cfg.cavity, cfg.mode, cfg.cavity.probe_detuning)
-    else:
-        gamma_opt, d_omega = 0.0, 0.0
+    gamma_opt, d_omega = optical_damping_and_spring(
+        cfg.cavity, cfg.mode, cfg.cavity.probe_detuning)
     gm = cfg.mode.gamma_m
     n_th = cfg.mode.thermal_occupancy()
     gamma_meas = gm + gamma_opt

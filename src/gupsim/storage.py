@@ -154,10 +154,21 @@ def _check_retired(d: dict, det: DetectionConfig):
             raise ValueError(f"{key} {held[name]!r} {why}; only {value!r} is")
 
 
+def _typed(d: dict, key: str, kind: type):
+    """The value at the dotted `key`; ValueError unless it is a `kind` (a bool is no int)."""
+    *section, name = key.split(".")
+    value = (d[section[0]] if section else d)[name]
+    if type(value) is not kind:
+        raise ValueError(f"config key {key} must be a JSON {kind.__name__}, "
+                         f"got {value!r}")
+    return value
+
+
 def config_from_dict(d: dict) -> CampaignConfig:
     """Parse the keys `config_to_dict` writes, ignoring any other. ValueError for a NaN
-    or infinite number, or for a retired setting that holds another value than the
-    one the program uses (`_check_retired`)."""
+    or infinite number, for a count, the seed or `switch_burst` of another JSON type,
+    a negative seed, or a retired setting that holds another value than the one the
+    program uses (`_check_retired`)."""
     _check_finite(d)
     mode = mode_from_dict(d["mode"])
     c = d["cavity"]
@@ -170,21 +181,22 @@ def config_from_dict(d: dict) -> CampaignConfig:
         omega_exc=TWO_PI * dd["excitation_hz"],
         delta_lo=TWO_PI * dd["lo_offset_hz"],
         lockin_bandwidth=dd["lockin_bandwidth_hz"],
-        lockin_filter_order=dd["lockin_filter_order"],
+        lockin_filter_order=_typed(d, "detection.lockin_filter_order", int),
         sample_rate=dd["sample_rate_hz"],
-        decimation=dd["decimation"],
+        decimation=_typed(d, "detection.decimation", int),
         background_psd=dd["background_psd"])
     _check_retired(d, detection)
     s = d["schedule"]
-    schedule = ProtocolSchedule(pump_on=s["pump_on_s"], measure=s["measure_s"],
-                                cycles_per_series=s["cycles_per_series"],
-                                group_size=s["group_size"], pre_roll=s["pre_roll_s"])
+    schedule = ProtocolSchedule(
+        pump_on=s["pump_on_s"], measure=s["measure_s"],
+        cycles_per_series=_typed(d, "schedule.cycles_per_series", int),
+        group_size=_typed(d, "schedule.group_size", int), pre_roll=s["pre_roll_s"])
     o = d["operating"]
     inj = d.get("shift_injection")
     return CampaignConfig(
         mode=mode, cavity=cavity, deformation=deformation, detection=detection,
         schedule=schedule, n_bar=o["n_bar"], gamma_eff=TWO_PI * o["gamma_eff_hz"],
-        alpha_sq=o["alpha_sq"], seed=d["seed"],
+        alpha_sq=o["alpha_sq"], seed=_typed(d, "seed", int),
         series_probe_detunings=(
             None if d.get("series_probe_detunings_hz") is None
             else tuple(TWO_PI * x for x in d["series_probe_detunings_hz"])),
@@ -192,7 +204,7 @@ def config_from_dict(d: dict) -> CampaignConfig:
             None if d.get("alpha_sq_per_series") is None
             else tuple(d["alpha_sq_per_series"])),
         shift_injection=(None if inj is None else (inj["delta0_hz"], inj["tau_s"])),
-        switch_burst=d.get("switch_burst", True))
+        switch_burst=_typed(d, "switch_burst", bool) if "switch_burst" in d else True)
 
 
 def canonical_json(d: dict) -> str:
@@ -348,8 +360,8 @@ def _load_group(cfg_hash: str, records_dir: Path, group_size: int, cycles: range
     return average_records(records, cycle_index=cycles.start // group_size)
 
 
-def load_dataset(ds_dir: Path, n_groups: int | None = None) -> Dataset:
-    """Config snapshot and group averages of a series (the first `n_groups`, or all).
+def load_dataset(ds_dir: Path) -> Dataset:
+    """Config snapshot and group averages of a series.
 
     The records, `0000.qrec` on to the snapshot's `cycles_per_series`, are read
     on the process pool of `pool.chunked_map`, one group per call. The worker
@@ -364,7 +376,7 @@ def load_dataset(ds_dir: Path, n_groups: int | None = None) -> Dataset:
     cfg = config_from_dict(snapshot)
     groups = chunked_map(_load_group, (snapshot.get("config_hash"), ds_dir / "records",
                                        cfg.schedule.group_size),
-                         cfg.schedule.group_cycles()[:n_groups])
+                         cfg.schedule.group_cycles())
     return Dataset(groups=[g for g in groups if g is not None], config=cfg,
                    series_index=int(snapshot.get("provenance", {}).get("series_index", 0)))
 

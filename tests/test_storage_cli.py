@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -20,9 +21,11 @@ from gupsim.detection import (
     SpectrumEstimate,
     TimeSeries,
     average_records,
+    average_spectra,
+    welch_psd,
 )
 from gupsim.dynamics import DeformationParams, MechanicalMode
-from gupsim.errors import CorruptRecord
+from gupsim.errors import CorruptRecord, FitDiverged
 from gupsim.estimation import width_vs_shift_scan
 from gupsim.optomech import OpticalCavity, spring_damping_slope
 from gupsim.protocol import (
@@ -44,6 +47,7 @@ from gupsim.storage import (
     save_config,
     save_dataset,
     save_histogram,
+    save_quadratures,
     save_raw,
     save_record,
     save_spectrum,
@@ -201,6 +205,38 @@ class TestConfigRoundTrip:
         if scenario is not None:
             d["scenario"] = scenario
         assert config_from_dict(d) == want
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("detection", "lockin_filter_order", 4.0),
+        ("detection", "decimation", 8.0),
+        ("schedule", "cycles_per_series", 20.0),
+        ("schedule", "group_size", 10.0),
+        ("schedule", "group_size", True),
+        (None, "seed", 1.5),
+        (None, "seed", -1),
+        (None, "switch_burst", "false"),
+        (None, "switch_burst", 0),
+        (None, "--seed", -1),
+    ], ids=["filter_order_float", "decimation_float", "cycles_float", "group_size_float",
+            "group_size_bool", "seed_float", "seed_negative", "switch_burst_string",
+            "switch_burst_int", "seed_option_negative"])
+    def test_wrong_type_refused(self, tmp_path, capsys, section, key, value):
+        # refused with the key named before anything is written, not misread
+        d = config_to_dict(small_config(schedule=ProtocolSchedule(group_size=2)
+                                        .with_duration(0.08)))
+        option = []
+        if key.startswith("--"):
+            option = [key, str(value)]
+        else:
+            (d[section] if section else d)[key] = value
+        (tmp_path / "c.json").write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out), *option]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert (f"{section}.{key}" if section else key.lstrip("-")) in err["message"]
+        assert not out.exists()
 
     def test_hash_sensitive_to_fields(self):
         d1 = config_to_dict(small_config(seed=1))
@@ -395,16 +431,6 @@ def campaign_dir(tmp_path_factory):
     return root
 
 
-@pytest.fixture(scope="module")
-def stationary_dir(tmp_path_factory):
-    """One 1 s stationary chunk of the small config."""
-    root = tmp_path_factory.mktemp("stationary")
-    save_config(small_config(alpha_sq=0.0), root / "c.json")
-    assert main(["simulate", "--config", str(root / "c.json"), "--out",
-                 str(root / "run"), "--stationary", "1"]) == 0
-    return root / "run"
-
-
 class TestCli:
     def test_simulate_layout(self, campaign_dir):
         out = campaign_dir / "out"
@@ -519,23 +545,20 @@ class TestCli:
         assert captured.out == ""
 
     def test_emit_plot_data(self, campaign_dir):
+        # analyze writes the plot files of the traces and shifts it holds
         out = campaign_dir / "out"
         assert main(["analyze", "--in", str(out)]) == 0
-        rc = main(["emit-plot-data", "--what", "histogram", "--in", str(out)])
-        assert rc == 0
-        rc = main(["emit-plot-data", "--what", "quadratures", "--in", str(out)])
-        assert rc == 0
-        pd = out / "plot_data"
-        assert (pd / "shift_histogram_x.dat").exists()
-        assert (pd / "quadrature_y.dat").exists()
+        assert sorted(p.name for p in (out / "plot_data").iterdir()) == [
+            "quadrature_x.dat", "quadrature_y.dat",
+            "shift_histogram_x.dat", "shift_histogram_y.dat"]
 
     def test_reports_feed_shift_scan_and_histogram(self, campaign_dir, tmp_path):
         # the reports give what a fresh load and fit of every series gives, byte for byte
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(campaign_dir / "config.json"),
                      "--out", str(out), "--series", "2"]) == 0
-        for argv in (["analyze"], ["shift-scan"], ["emit-plot-data", "--what", "histogram"]):
-            assert main([*argv, "--in", str(out)]) == 0
+        for command in ("analyze", "shift-scan"):
+            assert main([command, "--in", str(out)]) == 0
         dirs = [out / "series_00", out / "series_01"]
         datasets = [load_dataset(d) for d in dirs]
         analyses = [analyze_dataset(ds) for ds in datasets]
@@ -559,8 +582,7 @@ class TestCli:
                      "plot_data/shift_histogram_y.dat"):
             assert (out / name).read_bytes() == (ref / name).read_bytes(), name
 
-    def test_shift_scan_and_histogram_read_no_record(self, campaign_dir, monkeypatch,
-                                                     use_cpus):
+    def test_shift_scan_reads_no_record(self, campaign_dir, monkeypatch, use_cpus):
         # one worker, so a record read would be read in this process
         use_cpus(1)
         out = campaign_dir / "out"
@@ -574,13 +596,11 @@ class TestCli:
                              (gupsim.storage, "load_record")):
             monkeypatch.setattr(module, name, counting(name))
         assert main(["shift-scan", "--in", str(out)]) == 0
-        assert main(["emit-plot-data", "--what", "histogram", "--in", str(out)]) == 0
         assert calls == []
 
     @pytest.mark.parametrize("argv, report", [
         (["shift-scan"], "series_00/summary.report"),
-        (["emit-plot-data", "--what", "histogram"], "analysis.report"),
-    ], ids=["shift_scan", "histogram"])
+    ], ids=["shift_scan"])
     def test_needs_analyze_first(self, tmp_path, capsys, argv, report):
         cfg = small_config(schedule=ProtocolSchedule(group_size=5).with_duration(0.4))
         save_config(cfg, tmp_path / "c.json")
@@ -601,17 +621,17 @@ class TestCli:
         assert load_config(golden).schedule.group_size == 5
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(golden), "--out", str(out)]) == 0
-        assert main(["emit-plot-data", "--what", "quadratures", "--in", str(out)]) == 0
+        assert main(["analyze", "--in", str(out)]) == 0
         h = snapshot_hash(out / "series_00")
         records = [load_record(p, h) for p in
                    sorted((out / "series_00" / "records").glob("*.qrec"))[:5]]
-        want = average_records(records)
-        for name, ts in (("x", want.x_quad), ("y", want.y_quad)):
-            cols = np.loadtxt(out / "plot_data" / f"quadrature_{name}.dat")
-            np.testing.assert_array_equal(cols[:, 0], want.times)
-            np.testing.assert_array_equal(cols[:, 1], ts.samples)
+        save_quadratures(average_records(records), tmp_path / "ref", "quadrature")
+        for name in ("quadrature_x.dat", "quadrature_y.dat"):
+            assert ((out / "plot_data" / name).read_bytes()
+                    == (tmp_path / "ref" / name).read_bytes()), name
 
     def test_emit_quadratures_short_series(self, tmp_path, capsys):
+        # 3 cycles make no group of 5: no trace to write, and no shift to fit
         d = json.loads((GOLDEN / "analyze_config.json").read_text())
         d["schedule"]["cycles_per_series"] = 3
         (tmp_path / "c.json").write_text(json.dumps(d))
@@ -619,47 +639,47 @@ class TestCli:
         assert main(["simulate", "--config", str(tmp_path / "c.json"),
                      "--out", str(out)]) == 0
         capsys.readouterr()
-        assert main(["emit-plot-data", "--what", "quadratures", "--in", str(out)]) == 1
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "InsufficientData"
-        assert err["message"] == "series_00 has 3 cycles, fewer than one group of 5"
+        assert main(["analyze", "--in", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "TooFewSamples"
         assert not (out / "plot_data").exists()
 
-    def test_emit_quadratures_reads_one_group(self, campaign_dir, tmp_path,
-                                              monkeypatch, use_cpus):
-        # one worker, so every record opened is opened in this process
-        use_cpus(1)
-        opened = []
-        load = gupsim.storage.load_record
+    def test_failed_fit_leaves_quadratures(self, campaign_dir, tmp_path, monkeypatch,
+                                           capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(campaign_dir / "config.json"),
+                     "--out", str(out), "--series", "2"]) == 0
 
-        def counting_load(path, *args):
-            opened.append(Path(path).name)
-            return load(path, *args)
+        def diverging(*args, **kw):
+            raise FitDiverged("forced")
 
-        monkeypatch.setattr(gupsim.storage, "load_record", counting_load)
-        assert main(["emit-plot-data", "--what", "quadratures",
-                     "--in", str(campaign_dir / "out"), "--out", str(tmp_path)]) == 0
-        assert opened == [f"{k:04d}.qrec" for k in range(5)]
+        monkeypatch.setattr(gupsim.protocol, "fit_ringdown", diverging)
+        capsys.readouterr()
+        assert main(["analyze", "--in", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {"error": "FitDiverged",
+                                                        "message": "forced"}
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")
+                      if p.is_file() and "records" not in p.parts) == [
+            "campaign.manifest", "plot_data/quadrature_x.dat", "plot_data/quadrature_y.dat",
+            "series_00/config.snapshot", "series_01/config.snapshot"]
 
-    def test_emit_spectra(self, tmp_path, capsys):
+    def test_emit_spectra(self, tmp_path):
         save_config(small_config(alpha_sq=0.0), tmp_path / "c.json")
         out = tmp_path / "th"
         assert main(["simulate", "--config", str(tmp_path / "c.json"),
                      "--out", str(out), "--stationary", "2"]) == 0
-        assert main(["emit-plot-data", "--what", "spectra", "--in", str(out)]) == 0
         assert main(["thermometry", "--in", str(out)]) == 0
-        # the exported spectrum is the one thermometry fits
-        head = (out / "plot_data" / "heterodyne_spectrum.dat").read_text().splitlines()
+        # the exported spectrum is the one thermometry fits: the average of each
+        # chunk's Welch spectrum at 50 Hz
+        spectrum = out / "plot_data" / "heterodyne_spectrum.dat"
+        head = spectrum.read_text().splitlines()
         report = json.loads((out / "thermometry.report").read_text())
         assert f"# n_averages: {report['n_averages']}" in head
         assert f"# resolution_hz: {report['resolution_hz']!r}" in head
-        # 1 s chunks hold no 0.5 Hz segment, nor a finer one
-        for resolution in ("0.5", "1e-9"):
-            capsys.readouterr()
-            assert main(["emit-plot-data", "--what", "spectra", "--in", str(out),
-                         "--resolution", resolution, "--out", str(tmp_path / "pd")]) == 1
-            assert json.loads(capsys.readouterr().err)["error"] == "SegmentTooLong"
-        assert not (tmp_path / "pd").exists()
+        assert report["resolution_hz"] == 50.0
+        chunks = sorted((out / "stationary").glob("*.braw"))
+        save_spectrum(average_spectra([welch_psd(load_raw(p), 50_000) for p in chunks]),
+                      tmp_path / "ref.dat")
+        assert spectrum.read_bytes() == (tmp_path / "ref.dat").read_bytes()
 
     def test_emit_spectra_without_raw(self, tmp_path, capsys):
         save_config(small_config(), tmp_path / "c.json")
@@ -667,7 +687,7 @@ class TestCli:
         assert main(["simulate", "--config", str(tmp_path / "c.json"),
                      "--out", str(out)]) == 0
         capsys.readouterr()
-        assert main(["emit-plot-data", "--what", "spectra", "--in", str(out)]) == 1
+        assert main(["thermometry", "--in", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "FileNotFoundError"
         assert "simulate --stationary" in err["message"]
@@ -681,17 +701,6 @@ class TestCli:
             assert err["error"] == "FileNotFoundError"
             assert "simulate --stationary" in err["message"]
         assert not (tmp_path / "t.report").exists()
-
-    @pytest.mark.parametrize("resolution", ["0", "-5", "inf", "nan"])
-    def test_resolution_must_be_positive_finite(self, stationary_dir, tmp_path, capsys,
-                                                resolution):
-        for argv in (["thermometry", "--out", str(tmp_path / "t.report")],
-                     ["emit-plot-data", "--what", "spectra", "--out", str(tmp_path)]):
-            assert main([*argv, "--in", str(stationary_dir),
-                         "--resolution", resolution]) == 1
-            err = json.loads(capsys.readouterr().err)
-            assert err["error"] == "ValueError" and "--resolution" in err["message"]
-        assert list(tmp_path.iterdir()) == []
 
     def test_thermometry_stationary(self, tmp_path, capsys):
         root = tmp_path / "th"
@@ -753,20 +762,9 @@ class TestCli:
         assert err["error"] == "RatioUndefined"
         assert re.match(r"sideband ratio R = 0\.\d+ \+/- 0\.\d+ is not above 1",
                         err["message"])
+        # the spectrum is written before the fit, so it is there to look at
+        assert (out / "plot_data" / "heterodyne_spectrum.dat").is_file()
         assert not (out / "thermometry.report").exists()
-
-    def test_thermometry_single_file(self, tmp_path, capsys):
-        root = tmp_path / "th1"
-        cfg = small_config(alpha_sq=0.0)
-        save_config(cfg, tmp_path / "c1.json")
-        main(["simulate", "--config", str(tmp_path / "c1.json"),
-              "--out", str(root), "--stationary", "1"])
-        capsys.readouterr()
-        rc = main(["thermometry", "--in", str(root / "stationary" / "0000.braw"),
-                   "--out", str(tmp_path / "single.report")])
-        assert rc == 0
-        report = json.loads((tmp_path / "single.report").read_text())
-        assert math.isfinite(report["n_bar"])
 
     def test_thermometry_refuses_short_chunk(self, tmp_path, capsys):
         # 1000 samples hold no 50 Hz segment: the chunk is refused, not left out
@@ -782,6 +780,7 @@ class TestCli:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "SegmentTooLong" and str(short) in err["message"]
         assert not (root / "thermometry.report").exists()
+        assert not (root / "plot_data").exists()
 
     def test_stationary_leaves_no_carriers(self, tmp_path, use_cpus):
         # with one CPU the chunks are made in this process, which then lets
@@ -840,11 +839,12 @@ class TestCli:
     @pytest.mark.parametrize("argv", [
         ["simulate", "--config", "c.json", "--out", "o", "--stationary", "-inf"],
         ["simulate", "--out", "o"],
-        ["emit-plot-data", "--what", "figures", "--in", "o"],
+        ["emit-plot-data", "--what", "histogram", "--in", "o"],
+        ["thermometry", "--in", "o", "--resolution", "50"],
         ["analyze", "--in", "o", "--out", "x"],
         [],
-    ], ids=["stationary_minus_inf", "missing_config", "unknown_what", "analyze_out",
-            "no_command"])
+    ], ids=["stationary_minus_inf", "missing_config", "emit_plot_data",
+            "thermometry_resolution", "analyze_out", "no_command"])
     def test_rejected_argument_error(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
@@ -853,6 +853,21 @@ class TestCli:
         assert err["error"] == "ArgumentError" and err["message"]
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_cli_surface(self):
+        # every command and option, so that one added or removed shows in review
+        parser = gupsim.cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert {name: {s for a in p._actions for s in a.option_strings}
+                for name, p in {"gupsim": parser, **sub.choices}.items()} == {
+            "gupsim": {"-h", "--help", "--version"},
+            "simulate": {"-h", "--help", "--config", "--seed", "--out", "--series",
+                         "--stationary"},
+            "analyze": {"-h", "--help", "--in"},
+            "thermometry": {"-h", "--help", "--in", "--out"},
+            "shift-scan": {"-h", "--help", "--in"},
+            "bound": {"-h", "--help", "--summary", "--quadrature"},
+        }
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["simulate", "--help"]])
     def test_help_and_version_exit_0(self, capsys, argv):
