@@ -36,6 +36,7 @@ from .detection import (
     stationary_envelope,
 )
 from .dynamics import TWO_PI, DeformationParams, MechanicalMode
+from .errors import TooFewSamples
 from .estimation import (
     RingdownFit,
     ShiftFit,
@@ -401,8 +402,15 @@ def analyze_dataset(ds: Dataset) -> SeriesAnalysis:
     """Fit ring-downs and early-window shifts to the series' group averages.
 
     The lock-in line offsets come from the series' detection settings. The
-    fits use the default late and early windows of `estimation`.
+    fits use the default late and early windows of `estimation`. A series of
+    fewer than two whole groups raises TooFewSamples before anything is fitted.
     """
+    if len(ds.groups) < 2:
+        sched = ds.config.schedule
+        raise TooFewSamples(
+            f"series {ds.series_index} holds {len(ds.groups)} whole groups "
+            f"({sched.cycles_per_series} cycles in groups of {sched.group_size}); "
+            f"need >= 2 to aggregate shifts")
     f_lower, f_upper = ds.config.detection.line_offsets
     fits = []
     sx = []

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import signal as sig
 
 import gupsim.detection
 from gupsim.detection import (
@@ -248,6 +250,65 @@ class TestWelchPsd:
         fit = fit_lorentzian_pair(average_spectra(spectra), DET)
         width = 0.5 * (fit.stokes.width + fit.antistokes.width)
         assert width == pytest.approx(6000.0, rel=0.05)
+
+    @pytest.mark.parametrize("n, seg", [(40_000, 1_000), (40_000, 1_001), (40_123, 1_000),
+                                        (40_123, 999), (5_000, 5_000), (5_001, 5_001)],
+                             ids=["even", "odd", "even_remainder", "odd_remainder",
+                                  "even_seg_eq_n", "odd_seg_eq_n"])
+    def test_equals_scipy_welch(self, n, seg):
+        # scipy's welch is the definition; the sums run in another order
+        x = np.random.default_rng(seg).standard_normal(n)
+        ts = TimeSeries(0.0, 1 / 2.5e6, x)
+        spec = welch_psd(ts, segment_length=seg)
+        freqs, psd = sig.welch(x, ts.sample_rate, window="hann", nperseg=seg,
+                               noverlap=seg // 2, detrend=False)
+        np.testing.assert_array_equal(spec.freqs, freqs)
+        np.testing.assert_allclose(spec.psd, psd, rtol=1e-12, atol=0)
+        _, _, stft = sig.stft(x, ts.sample_rate, window="hann", nperseg=seg,
+                              noverlap=seg // 2, detrend=False, boundary=None,
+                              padded=False)
+        assert spec.n_averages == stft.shape[-1]
+        assert spec.resolution == ts.sample_rate / seg
+
+    def test_memory_bounded(self):
+        # one block of segments is held at a time, not a padded copy of the series
+        ts = TimeSeries(0.0, 1 / 2.5e6, np.random.default_rng(3).standard_normal(2_500_000))
+        tracemalloc.start()
+        try:
+            welch_psd(ts, segment_length=50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
+
+
+class TestAverageSpectra:
+    @staticmethod
+    def spectrum(sample_rate, seed):
+        x = np.random.default_rng(seed).standard_normal(100_000)
+        return welch_psd(TimeSeries(0.0, 1 / sample_rate, x),
+                         segment_length=round(sample_rate / 50.0))
+
+    def test_weighted_by_averages(self):
+        a, b = self.spectrum(2.5e6, 1), self.spectrum(2.5e6, 2)
+        b.n_averages *= 3
+        avg = average_spectra([a, b])
+        np.testing.assert_allclose(avg.psd, (a.psd + 3 * b.psd) / 4, rtol=1e-15)
+        assert avg.n_averages == a.n_averages + b.n_averages
+        np.testing.assert_array_equal(avg.freqs, a.freqs)
+
+    def test_sample_rates_1ppm_apart_refused(self):
+        # the bins are 2.5 mHz apart, far inside np.allclose's default rtol
+        a, b = self.spectrum(2.5e6, 1), self.spectrum(2.5e6 * (1 + 1e-6), 2)
+        assert a.freqs.shape == b.freqs.shape and np.allclose(a.freqs, b.freqs)
+        with pytest.raises(ValueError, match="frequency grid"):
+            average_spectra([a, b])
+
+    def test_resolution_mismatch_refused(self):
+        a, b = self.spectrum(2.5e6, 1), self.spectrum(2.5e6, 2)
+        b.resolution *= 1 + 1e-12
+        with pytest.raises(ValueError, match="frequency grid"):
+            average_spectra([a, b])
 
 
 class TestStationaryCarriers:

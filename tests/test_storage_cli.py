@@ -640,7 +640,10 @@ class TestCli:
                      "--out", str(out)]) == 0
         capsys.readouterr()
         assert main(["analyze", "--in", str(out)]) == 1
-        assert json.loads(capsys.readouterr().err)["error"] == "TooFewSamples"
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "TooFewSamples",
+            "message": "series 0 holds 0 whole groups (3 cycles in groups of 5); "
+                       "need >= 2 to aggregate shifts"}
         assert not (out / "plot_data").exists()
 
     def test_failed_fit_leaves_quadratures(self, campaign_dir, tmp_path, monkeypatch,
