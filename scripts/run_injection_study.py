@@ -18,8 +18,8 @@ from gupsim.estimation import beta_bound, fit_ringdown, fit_transient_shift
 from gupsim.protocol import (
     analyze_dataset,
     predicted_shift_at_switchoff,
-    run_campaign,
     run_cycle,
+    run_series,
     summarize_campaign,
 )
 from gupsim.storage import load_config
@@ -62,7 +62,7 @@ def main():
                   seed=args.seed, alpha_sq=args.alpha_sq)
 
     print("calibration campaign (beta0 = 0)...")
-    null = summarize_campaign([analyze_dataset(ds) for ds in run_campaign(cfg, 2)])
+    null = summarize_campaign([analyze_dataset(run_series(cfg, s)) for s in range(2)])
     std1 = null.stats_x.std
     print(f"  X scatter: std = {std1:.1f} Hz over n = {null.stats_x.n_samples}")
 
@@ -77,7 +77,7 @@ def main():
           f"(delta_f(0) = {predicted_shift_at_switchoff(cfg_inj):.0f} Hz, "
           f"response factor {r:+.2f})")
 
-    inj = summarize_campaign([analyze_dataset(ds) for ds in run_campaign(cfg_inj, 2)])
+    inj = summarize_campaign([analyze_dataset(run_series(cfg_inj, s)) for s in range(2)])
     diff = inj.stats_x.mean - null.stats_x.mean
     se = math.hypot(inj.stats_x.standard_error, null.stats_x.standard_error)
     print(f"  measured shift difference: {diff:+.1f} Hz = {diff / se:+.1f} sigma")

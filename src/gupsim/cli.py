@@ -163,7 +163,7 @@ def cmd_analyze(args) -> int:
         ds = load_dataset(d)
         # written before any fit, so a fit that fails leaves the traces to look at
         if d == dirs[0] and ds.groups:
-            save_quadratures(ds.groups[0], root / "plot_data", "quadrature")
+            save_quadratures(ds.groups[0], root / "plot_data")
         configs.append(ds.config)
         analyses.append(analyze_dataset(ds))
     for d, a, cfg in zip(dirs, analyses, configs):
@@ -247,7 +247,7 @@ def cmd_thermometry(args) -> int:
         "purity": purity(fit.occupancy),
         "gamma_eff_hz": 0.5 * (fit.stokes.width + fit.antistokes.width),
     }
-    out = Path(args.out) if args.out else root / "thermometry.report"
+    out = root / "thermometry.report"
     out.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     print(f"n_bar = {report['n_bar']:.2f} +/- {report['n_bar_err']:.2f}, "
           f"purity = {report['purity']:.4f}, "
@@ -293,7 +293,7 @@ def cmd_bound(args) -> int:
     if op is None:
         return _fail("UncalibratedCampaign", "the series ran at different operating "
                      "points, so the pooled shifts map to no one |alpha|^2")
-    mode = mode_from_dict(summary["mode"])
+    mode = mode_from_dict(summary)
     operating = CooledState(n_bar=op["n_bar"], gamma_eff=TWO_PI * op["gamma_eff_hz"],
                             omega_eff=mode.omega_m, alpha_sq=op["alpha_sq"])
     b = beta_bound(stats, operating, mode)
@@ -333,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("thermometry", help="sideband thermometry from stationary records")
     s.add_argument("--in", dest="indir", required=True)
-    s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_thermometry)
 
     s = sub.add_parser("shift-scan", help="width-vs-shift regression")

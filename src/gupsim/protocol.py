@@ -114,6 +114,10 @@ class CampaignConfig:
             raise ValueError("n_bar and alpha_sq must be >= 0")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("series_probe_detunings", "alpha_sq_per_series"):
+            if getattr(self, name) == ():
+                raise ValueError(f"{name} is empty: a sweep needs at least one value "
+                                 "(null for none)")
         if self.schedule.pump_on * self.gamma_eff < 10.0:
             warnings.warn("pump_on is not long compared to 1/gamma_eff; the "
                           "stationary-state assumption is doubtful", stacklevel=2)
@@ -377,13 +381,6 @@ def run_series(cfg: CampaignConfig, series_index: int = 0) -> Dataset:
     groups = [c for c in scfg.schedule.group_cycles() if len(c) == size]
     return Dataset(groups=map_cycles(_series_group, scfg, series_index, groups),
                    config=scfg, series_index=series_index)
-
-
-def run_campaign(cfg: CampaignConfig, n_series: int) -> list[Dataset]:
-    """Deterministic sequence of series; detunings/excitations may vary per series."""
-    if n_series < 1:
-        raise ValueError("n_series must be >= 1")
-    return [run_series(cfg, s) for s in range(n_series)]
 
 
 # --- analysis pipeline --------------------------------------------------------

@@ -121,10 +121,13 @@ def config_to_dict(cfg: CampaignConfig) -> dict:
     }
 
 
-def mode_from_dict(m: dict) -> MechanicalMode:
-    return MechanicalMode(omega_m=TWO_PI * m["frequency_hz"],
-                          gamma_m=TWO_PI * m["damping_hz"],
-                          mass=m["mass_kg"], T_bath=m["bath_temperature_k"])
+def mode_from_dict(d: dict) -> MechanicalMode:
+    """The mode of a config, or of an `analysis.report`: `d["mode"]` as `config_to_dict`
+    writes it. ValueError for a number of another JSON type."""
+    return MechanicalMode(omega_m=TWO_PI * _typed(d, "mode.frequency_hz"),
+                          gamma_m=TWO_PI * _typed(d, "mode.damping_hz"),
+                          mass=_typed(d, "mode.mass_kg"),
+                          T_bath=_typed(d, "mode.bath_temperature_k"))
 
 
 def _check_finite(d: dict, prefix: str = ""):
@@ -154,57 +157,66 @@ def _check_retired(d: dict, det: DetectionConfig):
             raise ValueError(f"{key} {held[name]!r} {why}; only {value!r} is")
 
 
-def _typed(d: dict, key: str, kind: type):
-    """The value at the dotted `key`; ValueError unless it is a `kind` (a bool is no int)."""
+_NUMBER = (int, float)
+
+
+def _typed(d: dict, key: str, kinds: tuple[type, ...] = _NUMBER, sweep: bool = False):
+    """The value at the dotted `key`; ValueError unless its type is one of `kinds`
+    (a bool is neither an int nor a float). With `sweep`, the value must be a list
+    whose every entry is, and it is returned as a tuple."""
     *section, name = key.split(".")
     value = (d[section[0]] if section else d)[name]
-    if type(value) is not kind:
-        raise ValueError(f"config key {key} must be a JSON {kind.__name__}, "
+    if not (type(value) is list and all(type(v) in kinds for v in value) if sweep
+            else type(value) in kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"config key {key} must be a JSON {'list of ' * sweep}{names}, "
                          f"got {value!r}")
-    return value
+    return tuple(value) if sweep else value
 
 
 def config_from_dict(d: dict) -> CampaignConfig:
     """Parse the keys `config_to_dict` writes, ignoring any other. ValueError for a NaN
-    or infinite number, for a count, the seed or `switch_burst` of another JSON type,
-    a negative seed, or a retired setting that holds another value than the one the
-    program uses (`_check_retired`)."""
+    or infinite number, for a value of another JSON type (a number that is not an int
+    or a float, a count or the seed that is not an int, a sweep that is not a list of
+    numbers, a `switch_burst` that is not a bool), a negative seed, an empty sweep, or
+    a retired setting that holds another value than the one the program uses
+    (`_check_retired`)."""
     _check_finite(d)
-    mode = mode_from_dict(d["mode"])
-    c = d["cavity"]
-    cavity = OpticalCavity(kappa=TWO_PI * c["linewidth_hz"],
-                           probe_detuning=TWO_PI * c["probe_detuning_hz"],
-                           coupling_rate=c["coupling_rate_rad_s"])
-    deformation = DeformationParams(beta0=d["deformation"]["beta0"])
-    dd = d["detection"]
+    mode = mode_from_dict(d)
+    cavity = OpticalCavity(kappa=TWO_PI * _typed(d, "cavity.linewidth_hz"),
+                           probe_detuning=TWO_PI * _typed(d, "cavity.probe_detuning_hz"),
+                           coupling_rate=_typed(d, "cavity.coupling_rate_rad_s"))
+    deformation = DeformationParams(beta0=_typed(d, "deformation.beta0"))
     detection = DetectionConfig(
-        omega_exc=TWO_PI * dd["excitation_hz"],
-        delta_lo=TWO_PI * dd["lo_offset_hz"],
-        lockin_bandwidth=dd["lockin_bandwidth_hz"],
-        lockin_filter_order=_typed(d, "detection.lockin_filter_order", int),
-        sample_rate=dd["sample_rate_hz"],
-        decimation=_typed(d, "detection.decimation", int),
-        background_psd=dd["background_psd"])
+        omega_exc=TWO_PI * _typed(d, "detection.excitation_hz"),
+        delta_lo=TWO_PI * _typed(d, "detection.lo_offset_hz"),
+        lockin_bandwidth=_typed(d, "detection.lockin_bandwidth_hz"),
+        lockin_filter_order=_typed(d, "detection.lockin_filter_order", (int,)),
+        sample_rate=_typed(d, "detection.sample_rate_hz"),
+        decimation=_typed(d, "detection.decimation", (int,)),
+        background_psd=_typed(d, "detection.background_psd"))
     _check_retired(d, detection)
-    s = d["schedule"]
     schedule = ProtocolSchedule(
-        pump_on=s["pump_on_s"], measure=s["measure_s"],
-        cycles_per_series=_typed(d, "schedule.cycles_per_series", int),
-        group_size=_typed(d, "schedule.group_size", int), pre_roll=s["pre_roll_s"])
-    o = d["operating"]
-    inj = d.get("shift_injection")
+        pump_on=_typed(d, "schedule.pump_on_s"), measure=_typed(d, "schedule.measure_s"),
+        cycles_per_series=_typed(d, "schedule.cycles_per_series", (int,)),
+        group_size=_typed(d, "schedule.group_size", (int,)),
+        pre_roll=_typed(d, "schedule.pre_roll_s"))
+    detunings, alpha_sqs = (
+        None if d.get(key) is None else _typed(d, key, sweep=True)
+        for key in ("series_probe_detunings_hz", "alpha_sq_per_series"))
     return CampaignConfig(
         mode=mode, cavity=cavity, deformation=deformation, detection=detection,
-        schedule=schedule, n_bar=o["n_bar"], gamma_eff=TWO_PI * o["gamma_eff_hz"],
-        alpha_sq=o["alpha_sq"], seed=_typed(d, "seed", int),
+        schedule=schedule, n_bar=_typed(d, "operating.n_bar"),
+        gamma_eff=TWO_PI * _typed(d, "operating.gamma_eff_hz"),
+        alpha_sq=_typed(d, "operating.alpha_sq"), seed=_typed(d, "seed", (int,)),
         series_probe_detunings=(
-            None if d.get("series_probe_detunings_hz") is None
-            else tuple(TWO_PI * x for x in d["series_probe_detunings_hz"])),
-        alpha_sq_per_series=(
-            None if d.get("alpha_sq_per_series") is None
-            else tuple(d["alpha_sq_per_series"])),
-        shift_injection=(None if inj is None else (inj["delta0_hz"], inj["tau_s"])),
-        switch_burst=_typed(d, "switch_burst", bool) if "switch_burst" in d else True)
+            None if detunings is None else tuple(TWO_PI * x for x in detunings)),
+        alpha_sq_per_series=alpha_sqs,
+        shift_injection=(None if d.get("shift_injection") is None
+                         else (_typed(d, "shift_injection.delta0_hz"),
+                               _typed(d, "shift_injection.tau_s"))),
+        switch_burst=(_typed(d, "switch_burst", (bool,)) if "switch_burst" in d
+                      else True))
 
 
 def canonical_json(d: dict) -> str:
@@ -392,18 +404,19 @@ def write_columns(path: Path, header: list[tuple[str, object]], columns: str, ro
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def save_spectrum(spec: SpectrumEstimate, path: Path, header: dict | None = None):
+def save_spectrum(spec: SpectrumEstimate, path: Path):
     head = [("format", "spectrum-1"), ("resolution_hz", spec.resolution),
-            ("n_averages", spec.n_averages), *sorted((header or {}).items())]
+            ("n_averages", spec.n_averages)]
     write_columns(path, head, "freq_hz psd_per_hz",
                   map("{!r} {!r}".format, spec.freqs.tolist(), spec.psd.tolist()))
 
 
-def save_quadratures(rec: QuadratureRecord, out_dir: Path, stem: str):
-    """Two-column text traces (t, X) and (t, Y) as `<stem>_x.dat` and `<stem>_y.dat`."""
+def save_quadratures(rec: QuadratureRecord, out_dir: Path):
+    """Two-column text traces (t, X) and (t, Y) as `quadrature_x.dat` and
+    `quadrature_y.dat`."""
     t = rec.times.tolist()
     for name, ts in (("x", rec.x_quad), ("y", rec.y_quad)):
-        write_columns(Path(out_dir) / f"{stem}_{name}.dat", [], f"t_s {name}",
+        write_columns(Path(out_dir) / f"quadrature_{name}.dat", [], f"t_s {name}",
                       map("{!r} {!r}".format, t, ts.samples.tolist()))
 
 

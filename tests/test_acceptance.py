@@ -50,8 +50,8 @@ from gupsim.protocol import (
     ProtocolSchedule,
     analyze_dataset,
     predicted_shift_at_switchoff,
-    run_campaign,
     run_cycle,
+    run_series,
     summarize_campaign,
 )
 
@@ -83,7 +83,7 @@ def campaign_config(**kw):
 
 
 def run_null_campaign(cfg, n_series=2):
-    analyses = [analyze_dataset(ds) for ds in run_campaign(cfg, n_series)]
+    analyses = [analyze_dataset(run_series(cfg, s)) for s in range(n_series)]
     return summarize_campaign(analyses)
 
 
@@ -134,7 +134,7 @@ def test_criterion_3_optical_spring_line():
     cfg = campaign_config(seed=33, alpha_sq=3500.0,
                           schedule=ProtocolSchedule(group_size=10).with_duration(1.2),
                           series_probe_detunings=detunings)
-    datasets = run_campaign(cfg, 9)
+    datasets = [run_series(cfg, s) for s in range(9)]
     fits = [fit_ringdown(rec, window=(1e-4, 5e-4))
             for ds in datasets for rec in ds.grouped_records()]
     scan = width_vs_shift_scan([(f.f_m, f.gamma_eff_hz, f.gamma_eff_hz_err) for f in fits])

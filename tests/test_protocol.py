@@ -16,7 +16,6 @@ from gupsim.protocol import (
     ProtocolSchedule,
     analyze_dataset,
     predicted_shift_at_switchoff,
-    run_campaign,
     run_cycle,
     run_series,
 )
@@ -222,14 +221,10 @@ class TestCampaign:
         return noisy_config(schedule=ProtocolSchedule(group_size=5).with_duration(0.2),
                             **kw)
 
-    def test_n_series_validation(self):
-        with pytest.raises(ValueError):
-            run_campaign(self.small_cfg(), 0)
-
     def test_series_detunings_applied(self):
         kappa = OpticalCavity().kappa
         cfg = self.small_cfg(series_probe_detunings=(0.0, 0.05 * kappa))
-        datasets = run_campaign(cfg, 2)
+        datasets = [run_series(cfg, s) for s in range(2)]
         assert datasets[0].config.cavity.probe_detuning == 0.0
         assert datasets[1].config.cavity.probe_detuning == pytest.approx(0.05 * kappa)
 
@@ -277,8 +272,8 @@ class TestCampaign:
 
     def test_campaign_deterministic(self):
         cfg = self.small_cfg()
-        a = run_campaign(cfg, 1)[0]
-        b = run_campaign(cfg, 1)[0]
+        a = run_series(cfg, 0)
+        b = run_series(cfg, 0)
         assert len(a.groups) == len(b.groups) == 1
         for ra, rb in zip(a.groups, b.groups):
             assert np.array_equal(ra.x_quad.samples, rb.x_quad.samples)
@@ -286,7 +281,7 @@ class TestCampaign:
 
     def test_excitation_sweep_changes_amplitude(self):
         cfg = self.small_cfg(alpha_sq_per_series=(400.0, 1600.0))
-        datasets = run_campaign(cfg, 2)
+        datasets = [run_series(cfg, s) for s in range(2)]
         for s, ds in enumerate(datasets):
             want = average_records(self.cycles(cfg, s))
             np.testing.assert_array_equal(ds.groups[0].x_quad.samples, want.x_quad.samples)
@@ -357,7 +352,7 @@ class TestCycleCache:
         cfg = self.cfg(schedule=ProtocolSchedule(group_size=1).with_duration(0.12),
                        series_probe_detunings=(0.0, TWO_PI * 30e3))
         clear_cycle_caches()
-        datasets = run_campaign(cfg, 2)
+        datasets = [run_series(cfg, s) for s in range(2)]
         assert gupsim.protocol._cycle_template.cache_info().misses == 2
         t0, t1 = (gupsim.protocol._cycle_template(ds.config) for ds in datasets)
         assert not np.array_equal(t0.rot, t1.rot)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -217,9 +218,20 @@ class TestConfigRoundTrip:
         (None, "switch_burst", "false"),
         (None, "switch_burst", 0),
         (None, "--seed", -1),
+        (None, "--series", 0),
+        ("mode", "mass_kg", "1e-10"),
+        ("operating", "alpha_sq", None),
+        ("detection", "lockin_bandwidth_hz", [20000.0]),
+        ("schedule", "measure_s", False),
+        (None, "alpha_sq_per_series", ["1200"]),
+        (None, "alpha_sq_per_series", 1200.0),
+        (None, "series_probe_detunings_hz", [0.0, True]),
+        (None, "shift_injection", {"delta0_hz": "300.0", "tau_s": 5e-5}),
     ], ids=["filter_order_float", "decimation_float", "cycles_float", "group_size_float",
             "group_size_bool", "seed_float", "seed_negative", "switch_burst_string",
-            "switch_burst_int", "seed_option_negative"])
+            "switch_burst_int", "seed_option_negative", "series_option_zero",
+            "mass_string", "alpha_sq_null", "bandwidth_list", "measure_bool",
+            "sweep_entry_string", "sweep_not_list", "sweep_entry_bool", "injection_string"])
     def test_wrong_type_refused(self, tmp_path, capsys, section, key, value):
         # refused with the key named before anything is written, not misread
         d = config_to_dict(small_config(schedule=ProtocolSchedule(group_size=2)
@@ -236,6 +248,22 @@ class TestConfigRoundTrip:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert (f"{section}.{key}" if section else key.lstrip("-")) in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, field", [
+        ("series_probe_detunings_hz", "series_probe_detunings"),
+        ("alpha_sq_per_series", "alpha_sq_per_series")], ids=["detunings", "alpha_sq"])
+    def test_empty_sweep_refused(self, tmp_path, capsys, key, field):
+        # a sweep of no values has no value for series 0
+        d = config_to_dict(small_config())
+        d[key] = []
+        (tmp_path / "c.json").write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith(f"{field} is empty")
         assert not out.exists()
 
     def test_hash_sensitive_to_fields(self):
@@ -412,9 +440,10 @@ class TestRecordIO:
         spec = SpectrumEstimate(freqs=np.array([1.0, 2.0, 3.0]),
                                 psd=np.array([0.5, 1.5, 0.25]),
                                 resolution=1.0, n_averages=3)
-        save_spectrum(spec, tmp_path / "s.dat", header={"note": "x"})
+        save_spectrum(spec, tmp_path / "s.dat")
         text = (tmp_path / "s.dat").read_text()
-        assert "# columns: freq_hz psd_per_hz" in text
+        assert text.splitlines()[:4] == ["# format: spectrum-1", "# resolution_hz: 1.0",
+                                         "# n_averages: 3", "# columns: freq_hz psd_per_hz"]
         rows = [l for l in text.splitlines() if not l.startswith("#")]
         assert len(rows) == 3 and float(rows[1].split()[1]) == 1.5
 
@@ -625,7 +654,7 @@ class TestCli:
         h = snapshot_hash(out / "series_00")
         records = [load_record(p, h) for p in
                    sorted((out / "series_00" / "records").glob("*.qrec"))[:5]]
-        save_quadratures(average_records(records), tmp_path / "ref", "quadrature")
+        save_quadratures(average_records(records), tmp_path / "ref")
         for name in ("quadrature_x.dat", "quadrature_y.dat"):
             assert ((out / "plot_data" / name).read_bytes()
                     == (tmp_path / "ref" / name).read_bytes()), name
@@ -696,14 +725,14 @@ class TestCli:
         assert "simulate --stationary" in err["message"]
         assert not (out / "plot_data").exists()
 
-    def test_thermometry_without_stationary(self, campaign_dir, tmp_path, capsys):
+    def test_thermometry_without_stationary(self, campaign_dir, capsys):
         for target in (campaign_dir / "out", campaign_dir / "out" / "series_00"):
-            assert main(["thermometry", "--in", str(target),
-                         "--out", str(tmp_path / "t.report")]) == 1
+            assert main(["thermometry", "--in", str(target)]) == 1
             err = json.loads(capsys.readouterr().err)
             assert err["error"] == "FileNotFoundError"
             assert "simulate --stationary" in err["message"]
-        assert not (tmp_path / "t.report").exists()
+            assert not (target / "thermometry.report").exists()
+            assert not (target / "plot_data" / "heterodyne_spectrum.dat").exists()
 
     def test_thermometry_stationary(self, tmp_path, capsys):
         root = tmp_path / "th"
@@ -845,9 +874,10 @@ class TestCli:
         ["emit-plot-data", "--what", "histogram", "--in", "o"],
         ["thermometry", "--in", "o", "--resolution", "50"],
         ["analyze", "--in", "o", "--out", "x"],
+        ["thermometry", "--in", "o", "--out", "x"],
         [],
     ], ids=["stationary_minus_inf", "missing_config", "emit_plot_data",
-            "thermometry_resolution", "analyze_out", "no_command"])
+            "thermometry_resolution", "analyze_out", "thermometry_out", "no_command"])
     def test_rejected_argument_error(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         assert main(argv) == 2
@@ -867,10 +897,23 @@ class TestCli:
             "simulate": {"-h", "--help", "--config", "--seed", "--out", "--series",
                          "--stationary"},
             "analyze": {"-h", "--help", "--in"},
-            "thermometry": {"-h", "--help", "--in", "--out"},
+            "thermometry": {"-h", "--help", "--in"},
             "shift-scan": {"-h", "--help", "--in"},
             "bound": {"-h", "--help", "--summary", "--quadrature"},
         }
+
+    def test_readme_commands_parse(self):
+        # every `gupsim ...` line of the README's bash blocks, parsed but not run
+        blocks = re.findall(r"^```bash\n(.*?)^```", (ROOT / "README.md").read_text(),
+                            flags=re.M | re.S)
+        lines = [l for b in blocks for l in b.splitlines() if l.startswith("gupsim ")]
+        assert len(lines) >= 12
+        parser = gupsim.cli.build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line, comments=True)[1:])
+            except argparse.ArgumentError as exc:
+                pytest.fail(f"README line {line!r}: {exc}")
 
     @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["simulate", "--help"]])
     def test_help_and_version_exit_0(self, capsys, argv):
