@@ -212,9 +212,17 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _chunk_spectrum(seg: int, path: Path):
+    ts = load_raw(path)
+    if len(ts) < seg:
+        raise SegmentTooLong(f"{path} holds {len(ts)} samples, fewer than one "
+                             f"{seg}-sample segment at {WELCH_RESOLUTION_HZ:g} Hz")
+    return welch_psd(ts, segment_length=seg)
+
+
 def cmd_thermometry(args) -> int:
     """Average the Welch spectra of a `simulate --stationary` run's .braw chunks,
-    one chunk in memory at a time, write the average, then fit it."""
+    one chunk in memory per worker at a time, write the average, then fit it."""
     root = Path(args.indir)
     raw_paths = sorted((root / "stationary").glob("*.braw"))
     if not raw_paths:
@@ -222,15 +230,7 @@ def cmd_thermometry(args) -> int:
                                 "(write them with simulate --stationary)")
     det = load_config(root / "config.snapshot").detection
     seg = int(round(det.sample_rate / WELCH_RESOLUTION_HZ))
-    spectra = []
-    for p in raw_paths:
-        ts = load_raw(p)
-        if len(ts) < seg:
-            raise SegmentTooLong(f"{p} holds {len(ts)} samples, fewer than one "
-                                 f"{seg}-sample segment at {WELCH_RESOLUTION_HZ:g} Hz")
-        spectra.append(welch_psd(ts, segment_length=seg))
-        del ts
-    spec = average_spectra(spectra)
+    spec = average_spectra(chunked_map(_chunk_spectrum, (seg,), raw_paths))
     save_spectrum(spec, root / "plot_data" / "heterodyne_spectrum.dat")
     fit = fit_lorentzian_pair(spec, det)
     report = {

@@ -1,9 +1,9 @@
 """One process pool for the per-cycle and per-chunk loops.
 
-It makes, writes and reads the cycles of a series, and makes and writes the
-1 s stationary chunks of `simulate --stationary`. Every cycle and every chunk
-draws from its own seed, so each can be made, written and read in any process
-and in any order without changing a byte.
+It makes, writes and reads the cycles of a series, makes and writes the 1 s
+stationary chunks of `simulate --stationary`, and reads and transforms them for
+`thermometry`. Each cycle and chunk draws from its own seed, so each can be made,
+written and read in any process and in any order without changing a byte.
 """
 
 from __future__ import annotations

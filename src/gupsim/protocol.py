@@ -112,6 +112,9 @@ class CampaignConfig:
     def __post_init__(self):
         if self.n_bar < 0 or self.alpha_sq < 0:
             raise ValueError("n_bar and alpha_sq must be >= 0")
+        for i, a in enumerate(self.alpha_sq_per_series or ()):
+            if a < 0:
+                raise ValueError(f"alpha_sq_per_series[{i}] must be >= 0, got {a!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("series_probe_detunings", "alpha_sq_per_series"):

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +265,19 @@ class TestConfigRoundTrip:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
         assert err["message"].startswith(f"{field} is empty")
+        assert not out.exists()
+
+    def test_negative_sweep_entry_refused(self, tmp_path, capsys):
+        # refused with the entry named before series 0 is written
+        d = config_to_dict(small_config())
+        d["alpha_sq_per_series"] = [1200.0, -1.0]
+        (tmp_path / "c.json").write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out), "--series", "2"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"].startswith("alpha_sq_per_series[1] must be >= 0")
         assert not out.exists()
 
     def test_hash_sensitive_to_fields(self):
@@ -798,19 +812,23 @@ class TestCli:
         assert (out / "plot_data" / "heterodyne_spectrum.dat").is_file()
         assert not (out / "thermometry.report").exists()
 
-    def test_thermometry_refuses_short_chunk(self, tmp_path, capsys):
-        # 1000 samples hold no 50 Hz segment: the chunk is refused, not left out
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_thermometry_refuses_short_chunk(self, tmp_path, capsys, use_cpus, n_cpus):
+        # 1000 samples hold no 50 Hz segment: the chunk is refused, not left
+        # out, and of two short chunks the first is named
+        use_cpus(n_cpus)
         save_config(small_config(alpha_sq=0.0), tmp_path / "c.json")
         root = tmp_path / "th"
         assert main(["simulate", "--config", str(tmp_path / "c.json"),
                      "--out", str(root), "--stationary", "2"]) == 0
-        short = root / "stationary" / "0002.braw"
-        save_raw(TimeSeries(0.0, 4e-7, np.random.default_rng(3).standard_normal(1000)),
-                 short)
+        rng = np.random.default_rng(3)
+        short = [root / "stationary" / f"{k:04d}.braw" for k in (2, 3)]
+        for path in short:
+            save_raw(TimeSeries(0.0, 4e-7, rng.standard_normal(1000)), path)
         capsys.readouterr()
         assert main(["thermometry", "--in", str(root)]) == 1
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "SegmentTooLong" and str(short) in err["message"]
+        assert err["error"] == "SegmentTooLong" and str(short[0]) in err["message"]
         assert not (root / "thermometry.report").exists()
         assert not (root / "plot_data").exists()
 
@@ -1046,8 +1064,9 @@ class TestWorkers:
             digests.append(dir_digest(out))
         assert digests[0] == digests[1]
 
-    def test_first_damaged_raw_reported(self, tmp_path, capsys, use_cpus):
-        use_cpus(2)
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_first_damaged_raw_reported(self, tmp_path, capsys, use_cpus, n_cpus):
+        use_cpus(n_cpus)
         save_config(small_config(), tmp_path / "config.snapshot")
         (tmp_path / "stationary").mkdir()
         rng = np.random.default_rng(6)
@@ -1084,3 +1103,44 @@ class TestWorkers:
         assert main(["thermometry", "--in", str(out)]) == 1
         assert json.loads(capsys.readouterr().err)["error"] == "FileNotFoundError"
         assert not (out / "thermometry.report").exists()
+
+    def test_thermometry_worker_death_reported(self, tmp_path, capsys, monkeypatch,
+                                               use_cpus):
+        use_cpus(2)
+        save_config(small_config(alpha_sq=0.0), tmp_path / "c.json")
+        out = tmp_path / "th"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out), "--stationary", "4"]) == 0
+        capsys.readouterr()
+        read = gupsim.cli.load_raw
+        test_pid = os.getpid()
+
+        def dying(path):
+            # a chunk read in this process fails the assertions below instead
+            if path.name == "0002.braw" and os.getpid() != test_pid:
+                os._exit(1)
+            return read(path)
+
+        monkeypatch.setattr(gupsim.cli, "load_raw", dying)
+        assert main(["thermometry", "--in", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "BrokenProcessPool"
+        assert not (out / "thermometry.report").exists()
+        assert not (out / "plot_data" / "heterodyne_spectrum.dat").exists()
+
+    def test_thermometry_holds_no_chunk(self, tmp_path, monkeypatch, use_cpus):
+        # the workers read and transform the 20 MB chunks: this process holds
+        # only their spectra, one call returning one spectrum per chunk
+        use_cpus(2)
+        save_config(small_config(alpha_sq=0.0), tmp_path / "c.json")
+        out = tmp_path / "th"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out), "--stationary", "4"]) == 0
+        returned = spy_on_pool(monkeypatch, gupsim.cli)
+        tracemalloc.start()
+        try:
+            assert main(["thermometry", "--in", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
+        assert returned == [4]
