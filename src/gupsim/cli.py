@@ -33,6 +33,7 @@ from .detection import (
     _stationary_carriers,
     average_spectra,
     fit_lorentzian_pair,
+    scipy_modules,
     synthesize_bhd,
     welch_psd,
 )
@@ -136,6 +137,7 @@ def _simulate_stationary(cfg, out: Path, duration: float) -> int:
     if any(raw_dir.glob("*.braw")):
         raise FileExistsError(f"{raw_dir} already holds .braw records")
     raw_dir.mkdir(parents=True, exist_ok=True)
+    scipy_modules()     # loaded before the workers fork, not in each of them
     try:
         chunked_map(_write_stationary_chunk, (cfg, raw_dir, chunk), range(n_chunks))
     finally:
@@ -230,6 +232,7 @@ def cmd_thermometry(args) -> int:
                                 "(write them with simulate --stationary)")
     det = load_config(root / "config.snapshot").detection
     seg = int(round(det.sample_rate / WELCH_RESOLUTION_HZ))
+    scipy_modules()     # loaded before the workers fork, not in each of them
     spec = average_spectra(chunked_map(_chunk_spectrum, (seg,), raw_paths))
     save_spectrum(spec, root / "plot_data" / "heterodyne_spectrum.dat")
     fit = fit_lorentzian_pair(spec, det)

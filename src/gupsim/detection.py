@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy import signal as sig
 
 from .dynamics import TWO_PI, MechanicalMode
 from .errors import (
@@ -39,6 +37,19 @@ PEAK_MIN_SIGMA = 5.0            # significance a coherent peak must reach
 LOCKIN_REF_OFFSET_HZ = 4e3      # lock-in reference below the excitation tone
 WELCH_RESOLUTION_HZ = 50.0      # bin width of the thermometry spectrum
 WELCH_BLOCK_SEGMENTS = 8        # Welch segments transformed per rfft call
+
+
+@functools.cache
+def scipy_modules():
+    """`(scipy.signal, scipy.fft)`, imported at the first call.
+
+    They take most of a second to import, and only synthesis, the lock-in and
+    Welch use them, so the commands that load reports or records (`analyze`,
+    `bound`, `shift-scan`) never import them. A pool call whose workers use
+    them calls this before forking, so no worker imports them again.
+    """
+    from scipy import fft, signal
+    return signal, fft
 
 
 @dataclass(frozen=True)
@@ -196,6 +207,7 @@ def complex_ou_segment(rng: np.random.Generator, n: int, dt: float, gamma: float
         w *= scale
     else:
         w[:] = 0.0
+    sig, _ = scipy_modules()
     u = sig.lfilter([1.0], [1.0, -rho], w, zi=np.array([rho * u0], dtype=complex))[0]
     return u
 
@@ -289,6 +301,7 @@ def _lockin_design(det: DetectionConfig) -> np.ndarray:
         raise FilterUnstable(
             f"order={det.lockin_filter_order}, bandwidth={det.lockin_bandwidth} Hz "
             f"is degenerate for fs={fs} Hz")
+    sig, _ = scipy_modules()
     sos = sig.butter(det.lockin_filter_order, det.lockin_bandwidth, "low",
                      fs=fs, output="sos")
     sos.flags.writeable = False
@@ -308,6 +321,7 @@ def lockin_filter_response(det: DetectionConfig, freqs_hz) -> np.ndarray:
     """Complex transfer function of the lock-in low-pass at the given frequencies."""
     sos = lockin_sos(det)
     w = 2.0 * np.pi * np.asarray(freqs_hz, dtype=float) / det.sample_rate
+    sig, _ = scipy_modules()
     _, h = sig.sosfreqz(sos, worN=w)
     return h
 
@@ -339,6 +353,7 @@ def lockin_demodulate(ts: TimeSeries, det: DetectionConfig,
     sos = lockin_sos(det)
     cos_ref, sin_ref = _lockin_reference(det.lockin_ref, ts.t0, ts.dt, len(ts))
     two_s = 2.0 * ts.samples
+    sig, _ = scipy_modules()
     x = sig.sosfilt(sos, two_s * cos_ref)
     y = sig.sosfilt(sos, two_s * sin_ref)
     r = det.decimation
@@ -387,6 +402,7 @@ def welch_psd(ts: TimeSeries, segment_length: int) -> SpectrumEstimate:
     if seg > n:
         raise SegmentTooLong(f"segment {seg} > series length {n}")
     segments = np.lib.stride_tricks.sliding_window_view(ts.samples, seg)[::seg - seg // 2]
+    sig, sp_fft = scipy_modules()
     window = sig.get_window("hann", seg)
     acc = np.zeros(seg // 2 + 1)
     for i in range(0, len(segments), WELCH_BLOCK_SEGMENTS):

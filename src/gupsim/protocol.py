@@ -28,6 +28,7 @@ from .detection import (
     DetectionConfig,
     QuadratureRecord,
     TimeSeries,
+    _lockin_design,
     assemble_bhd,
     average_records,
     carrier,
@@ -356,10 +357,13 @@ def map_cycles(fn, cfg: CampaignConfig, series_index: int, items, *args) -> list
     a cycle index or a range of them (one group).
 
     `cfg` is the per-series config. The calls run on the process pool of
-    `pool.chunked_map` and return in item order. The cycle template is built
-    here, before the workers are forked, so they share one copy of it.
+    `pool.chunked_map` and return in item order. The cycle template and the
+    lock-in filter design are built here, before the workers are forked, so
+    they share one copy of each, and scipy, which the design imports, is
+    loaded once in this process rather than in every worker.
     """
     _cycle_template(cfg)
+    _lockin_design(cfg.detection)
     return chunked_map(fn, (cfg, series_index, *args), items)
 
 

@@ -264,7 +264,8 @@ def save_record(rec: QuadratureRecord, path: Path, cfg_hash: str):
 
 def load_record(path: Path, cfg_hash: str) -> QuadratureRecord:
     """Parse a `save_record` file; CorruptRecord if it is cut short or malformed,
-    or if its `config_hash` is not `cfg_hash`, the snapshot's."""
+    if its `config_hash` is not `cfg_hash`, the snapshot's, or if its time
+    column is not the time base of its header."""
     text = Path(path).read_text()
     meta = {}
     pos = 0
@@ -297,11 +298,19 @@ def load_record(path: Path, cfg_hash: str) -> QuadratureRecord:
                             f"of 3, or no final newline)")
     rows = cols.reshape(n, 3)
     try:
-        return QuadratureRecord(TimeSeries(t0, dt, rows[:, 1].copy()),
-                                TimeSeries(t0, dt, rows[:, 2].copy()),
-                                cycle_index=int(meta.get("cycle_index", 0)))
+        rec = QuadratureRecord(TimeSeries(t0, dt, rows[:, 1].copy()),
+                               TimeSeries(t0, dt, rows[:, 2].copy()),
+                               cycle_index=int(meta.get("cycle_index", 0)))
     except ValueError as exc:       # a non-finite sample or a bad dt
         raise CorruptRecord(f"{path}: {exc}") from None
+    # the repr that save_record writes parses back to the same bits
+    times = rec.times
+    bad = np.flatnonzero(rows[:, 0].view(np.int64) != times.view(np.int64))
+    if bad.size:
+        k = bad[0]
+        raise CorruptRecord(f"{path}: t_s of row {k} is {float(rows[k, 0])!r}, "
+                            f"not t0 + {k} dt = {float(times[k])!r}")
+    return rec
 
 
 def save_raw(ts: TimeSeries, path: Path):
@@ -309,7 +318,8 @@ def save_raw(ts: TimeSeries, path: Path):
     header = {"format": "braw-1", "t0_s": ts.t0, "dt_s": ts.dt, "n_samples": len(ts)}
     with open(path, "wb") as fh:
         fh.write(canonical_json(header).encode() + b"\n")
-        fh.write(ts.samples.astype("<f8").tobytes())
+        # copied only when the samples are strided or not little-endian
+        fh.write(np.ascontiguousarray(ts.samples, dtype="<f8"))
 
 
 def load_raw(path: Path) -> TimeSeries:

@@ -366,14 +366,19 @@ class TestRecordIO:
         (lambda text: text[:text.rindex("\n", 0, -1) + 1], "0000.qrec"),  # last row dropped
         (lambda text: text.replace("\n0.0 ", "\n0.0 x", 1), "0000.qrec"),  # junk in row 1
         (lambda text: text.replace("# dt_s: 3.2e-06", "# dt_s: nan"), "0000.qrec: dt "),
-    ], ids=["cut_mid_number", "row_dropped", "junk", "nan_dt"])
+        # the time of row 5 one ULP off: every value still parses
+        (lambda text: text.replace("\n1.6e-05 ", "\n1.6000000000000003e-05 ", 1),
+         "0000.qrec: t_s of row 5 "),
+    ], ids=["cut_mid_number", "row_dropped", "junk", "nan_dt", "time_one_ulp_off"])
     def test_damaged_record_rejected(self, tmp_path, damage, match):
         rng = np.random.default_rng(5)
         x = TimeSeries(0.0, 3.2e-6, rng.standard_normal(16))
         y = TimeSeries(0.0, 3.2e-6, rng.standard_normal(16))
         path = tmp_path / "0000.qrec"
         save_record(QuadratureRecord(x, y), path, "0123456789ab")
-        path.write_text(damage(path.read_text()))
+        text = path.read_text()
+        assert damage(text) != text
+        path.write_text(damage(text))
         with pytest.raises(CorruptRecord, match=match):
             load_record(path, "0123456789ab")
 
@@ -397,6 +402,21 @@ class TestRecordIO:
         back = load_raw(tmp_path / "r.braw")
         np.testing.assert_array_equal(back.samples, ts.samples)
         assert back.t0 == ts.t0 and back.dt == ts.dt
+
+    @pytest.mark.parametrize("layout", ["native", "big_endian", "strided"])
+    def test_raw_samples_written_as_little_endian_copy(self, tmp_path, layout):
+        # the samples are written as `samples.astype("<f8").tobytes()` would give,
+        # whatever their layout; synthesize_bhd's are the strided real part of
+        # a complex buffer
+        z = np.random.default_rng(9).standard_normal(2000).view(complex)
+        samples = {"native": z.imag.copy(), "big_endian": z.imag.astype(">f8"),
+                   "strided": z.real}[layout]
+        ts = TimeSeries(0.0, 4e-7, np.zeros(len(samples)))
+        ts.samples = samples            # TimeSeries itself would convert to native
+        save_raw(ts, tmp_path / "r.braw")
+        head, body = (tmp_path / "r.braw").read_bytes().split(b"\n", 1)
+        assert head == b'{"dt_s":4e-07,"format":"braw-1","n_samples":1000,"t0_s":0.0}'
+        assert body == samples.astype("<f8").tobytes()
 
     def test_raw_header_pinned(self, tmp_path):
         save_raw(TimeSeries(-0.5, 0.25, [1.0, -0.0]), tmp_path / "r.braw")
