@@ -44,6 +44,7 @@ from .optomech import CooledState, spring_damping_slope
 from .pool import chunked_map
 from .protocol import analyze_dataset, summarize_campaign
 from .storage import (
+    _typed,
     config_hash,
     config_to_dict,
     load_config,
@@ -73,11 +74,13 @@ def _stats_dict(s: ShiftStatistics) -> dict:
             "histogram_edges_hz": edges.tolist()}
 
 
-def _stats_from_dict(d: dict) -> ShiftStatistics:
-    """The inverse of `_stats_dict`."""
-    return ShiftStatistics(mean=d["mean_hz"], std=d["std_hz"], n_samples=d["n"],
-                           histogram=(np.array(d["histogram_counts"]),
-                                      np.array(d["histogram_edges_hz"])))
+def _stats_from_dict(d: dict, key: str) -> ShiftStatistics:
+    """The inverse of `_stats_dict`, at `d[key]`; ValueError for a mistyped number."""
+    return ShiftStatistics(mean=_typed(d, f"{key}.mean_hz"),
+                           std=_typed(d, f"{key}.std_hz"),
+                           n_samples=_typed(d, f"{key}.n", (int,)),
+                           histogram=(np.array(d[key]["histogram_counts"]),
+                                      np.array(d[key]["histogram_edges_hz"])))
 
 
 def _analyze_report(path: Path, indir) -> dict:
@@ -114,8 +117,8 @@ def cmd_simulate(args) -> int:
 
 
 def _write_stationary_chunk(cfg, out_dir: Path, chunk_s: float, k: int):
-    ts = synthesize_bhd(cfg.operating_state, cfg.mode, cfg.cavity, cfg.detection,
-                        duration=chunk_s, seed=[cfg.seed, k])
+    ts = synthesize_bhd(cfg.operating_state, cfg.detection, duration=chunk_s,
+                        seed=[cfg.seed, k])
     save_raw(ts, out_dir / f"{k:04d}.braw")
 
 
@@ -291,12 +294,12 @@ def cmd_bound(args) -> int:
         return _fail("MissingStatistics", f"{args.summary} lacks {', '.join(missing)}: "
                      "bound reads <in>/analysis.report, which `gupsim analyze --in <in>` "
                      "writes")
-    stats = _stats_from_dict(summary[key])
-    op = summary["operating"]
-    if op is None:
+    stats = _stats_from_dict(summary, key)
+    if summary["operating"] is None:
         return _fail("UncalibratedCampaign", "the series ran at different operating "
                      "points, so the pooled shifts map to no one |alpha|^2")
     mode = mode_from_dict(summary)
+    op = {k: _typed(summary, f"operating.{k}") for k in ("n_bar", "gamma_eff_hz", "alpha_sq")}
     operating = CooledState(n_bar=op["n_bar"], gamma_eff=TWO_PI * op["gamma_eff_hz"],
                             omega_eff=mode.omega_m, alpha_sq=op["alpha_sq"])
     b = beta_bound(stats, operating, mode)

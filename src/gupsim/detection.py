@@ -18,10 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TWO_PI, MechanicalMode
+from .dynamics import TWO_PI
 from .errors import (
     DurationTooShort,
-    FilterUnstable,
     FitDiverged,
     NyquistViolation,
     PeakNotResolved,
@@ -29,7 +28,7 @@ from .errors import (
     SegmentTooLong,
 )
 from .leastsq import damped_gauss_newton
-from .optomech import CooledState, OpticalCavity
+from .optomech import CooledState
 
 SIDEBAND_HALFWIDTH_HZ = 9e3     # half-width of each sideband's fit window
 COHERENT_EXCLUDE_BINS = 4       # bins either side of a sideband left out of the fit
@@ -79,6 +78,14 @@ class DetectionConfig:
             raise ValueError("sample_rate must exceed 4*(f_exc + 16 kHz)")
         if self.decimation < 1:
             raise ValueError("decimation must be >= 1")
+        if self.lockin_filter_order < 1:
+            raise ValueError("lockin_filter_order must be >= 1")
+        if not 0.0 < self.lockin_bandwidth < self.sample_rate / 2.0:
+            raise ValueError("lockin_bandwidth must lie in (0, sample_rate/2)")
+        if self.lockin_ref <= 0:
+            raise ValueError("lockin_ref, 4 kHz below the excitation, must be positive")
+        if self.background_psd < 0:
+            raise ValueError("background_psd must be >= 0")
 
     @property
     def lockin_ref(self) -> float:
@@ -262,8 +269,8 @@ def _stationary_carriers(f_s: float, f_as: float, dt: float,
     return out
 
 
-def synthesize_bhd(state: CooledState, mode: MechanicalMode, cavity: OpticalCavity,
-                   det: DetectionConfig, duration: float, seed) -> TimeSeries:
+def synthesize_bhd(state: CooledState, det: DetectionConfig, duration: float,
+                   seed) -> TimeSeries:
     """Stationary heterodyne output with motional sidebands around the carrier offsets.
 
     One-sided PSD: flat background + Stokes Lorentzian (area (n_bar+1)/2, FWHM
@@ -296,14 +303,9 @@ def synthesize_bhd(state: CooledState, mode: MechanicalMode, cavity: OpticalCavi
 
 @functools.lru_cache(maxsize=8)
 def _lockin_design(det: DetectionConfig) -> np.ndarray:
-    fs = det.sample_rate
-    if det.lockin_filter_order < 1 or not (0.0 < det.lockin_bandwidth < fs / 2.0):
-        raise FilterUnstable(
-            f"order={det.lockin_filter_order}, bandwidth={det.lockin_bandwidth} Hz "
-            f"is degenerate for fs={fs} Hz")
     sig, _ = scipy_modules()
     sos = sig.butter(det.lockin_filter_order, det.lockin_bandwidth, "low",
-                     fs=fs, output="sos")
+                     fs=det.sample_rate, output="sos")
     sos.flags.writeable = False
     return sos
 
@@ -346,10 +348,6 @@ def lockin_demodulate(ts: TimeSeries, det: DetectionConfig,
     difference phase; a tone below the reference emerges as +cos and +sin,
     which is exactly the two-line structure the ring-down model fits.
     """
-    fs = ts.sample_rate
-    if not (0.0 < det.lockin_ref < math.pi * fs):
-        raise FilterUnstable(
-            f"lockin reference {det.lockin_ref:.3e} rad/s outside (0, Nyquist)")
     sos = lockin_sos(det)
     cos_ref, sin_ref = _lockin_reference(det.lockin_ref, ts.t0, ts.dt, len(ts))
     two_s = 2.0 * ts.samples

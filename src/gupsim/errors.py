@@ -43,10 +43,6 @@ class DurationTooShort(GupsimError):
     """Record too short for a stationary spectral estimate."""
 
 
-class FilterUnstable(GupsimError):
-    """Degenerate lock-in filter configuration."""
-
-
 class SegmentTooLong(GupsimError):
     """Welch segment longer than the series."""
 

@@ -42,6 +42,8 @@ class CooledState:
             raise NegativeOccupancy(f"n_bar must be >= 0, got {self.n_bar}")
         if self.gamma_eff <= 0 or self.omega_eff <= 0:
             raise ValueError("gamma_eff and omega_eff must be positive")
+        if self.alpha_sq < 0:
+            raise ValueError(f"alpha_sq must be >= 0, got {self.alpha_sq}")
 
 
 def spring_damping_slope(cavity: OpticalCavity, mode: MechanicalMode) -> float:

@@ -111,8 +111,9 @@ class CampaignConfig:
     switch_burst: bool = True
 
     def __post_init__(self):
-        if self.n_bar < 0 or self.alpha_sq < 0:
-            raise ValueError("n_bar and alpha_sq must be >= 0")
+        self.operating_state        # CooledState checks n_bar, gamma_eff and alpha_sq
+        for d in (self.cavity.probe_detuning, *(self.series_probe_detunings or ())):
+            optical_damping_and_spring(self.cavity, self.mode, d)     # the linear regime
         for i, a in enumerate(self.alpha_sq_per_series or ()):
             if a < 0:
                 raise ValueError(f"alpha_sq_per_series[{i}] must be >= 0, got {a!r}")

@@ -14,8 +14,8 @@ builds holds the group averages. The snapshot is parsed with
 `config_from_dict`, the same parser `load_config` uses for config files. The
 bytes do not depend on the number of workers.
 
-`write_columns` writes every text export (spectra, quadrature traces, shift
-histograms, the shift-scan table).
+`write_columns` writes every columnar text file (records, spectra, quadrature
+traces, shift histograms, the shift-scan table).
 
 Dataset directory layout:
     config.snapshot          canonical JSON config + hash + provenance
@@ -228,10 +228,14 @@ def config_hash(d: dict) -> str:
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()[:12]
 
 
-def save_config(cfg: CampaignConfig, path: Path) -> str:
+def save_config(cfg: CampaignConfig, path: Path, provenance: dict | None = None) -> str:
+    """Write `cfg` and its `config_hash`, and return the hash. A `provenance` is written
+    under its own key, which the hash does not cover."""
     d = config_to_dict(cfg)
     h = config_hash(d)
     d["config_hash"] = h
+    if provenance is not None:
+        d["provenance"] = provenance
     Path(path).write_text(json.dumps(d, sort_keys=True, indent=2) + "\n")
     return h
 
@@ -250,16 +254,15 @@ def _time_column(t0: float, dt: float, n: int) -> tuple[str, ...]:
 
 
 def save_record(rec: QuadratureRecord, path: Path, cfg_hash: str):
-    """Columnar text: '# key: value' header, with `cfg_hash` as the record's
-    `config_hash`, then 't x_quad y_quad' rows."""
-    header = {"format": "qrec-1", "cycle_index": rec.cycle_index, "t0_s": rec.x_quad.t0,
-              "dt_s": rec.x_quad.dt, "n_samples": len(rec.x_quad),
-              "config_hash": cfg_hash, "columns": "t_s x_quad y_quad"}
-    lines = [f"# {k}: {_fmt(v)}" for k, v in header.items()]
+    """`write_columns` text, with `cfg_hash` as the record's `config_hash` in its
+    header, then 't_s x_quad y_quad' rows."""
+    header = [("format", "qrec-1"), ("cycle_index", rec.cycle_index),
+              ("t0_s", rec.x_quad.t0), ("dt_s", rec.x_quad.dt),
+              ("n_samples", len(rec.x_quad)), ("config_hash", cfg_hash)]
     t = _time_column(rec.x_quad.t0, rec.x_quad.dt, len(rec.x_quad))
-    lines.extend(map(" ".join, zip(t, map(repr, rec.x_quad.samples.tolist()),
-                                   map(repr, rec.y_quad.samples.tolist()))))
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_columns(path, header, "t_s x_quad y_quad",
+                  map(" ".join, zip(t, map(repr, rec.x_quad.samples.tolist()),
+                                    map(repr, rec.y_quad.samples.tolist()))))
 
 
 def load_record(path: Path, cfg_hash: str) -> QuadratureRecord:
@@ -362,14 +365,10 @@ def save_dataset(cfg: CampaignConfig, series_index: int, out_dir: Path) -> Campa
     scfg = cfg.series_variant(series_index)
     out = Path(out_dir)
     (out / "records").mkdir(parents=True, exist_ok=True)
-    snapshot = config_to_dict(scfg)
-    snapshot["config_hash"] = config_hash(snapshot)
-    snapshot["provenance"] = {k: _fmt(v) for k, v in
-                              series_provenance(scfg, series_index).items()}
-    (out / "config.snapshot").write_text(
-        json.dumps(snapshot, sort_keys=True, indent=2) + "\n")
+    provenance = {k: _fmt(v) for k, v in series_provenance(scfg, series_index).items()}
+    cfg_hash = save_config(scfg, out / "config.snapshot", provenance)
     map_cycles(_make_and_write, scfg, series_index,
-               range(scfg.schedule.cycles_per_series), out, snapshot["config_hash"])
+               range(scfg.schedule.cycles_per_series), out, cfg_hash)
     return scfg
 
 

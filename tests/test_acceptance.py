@@ -150,7 +150,7 @@ def synthesize_averaged_spectrum(n_bar, alpha_sq, seconds, seed):
                         omega_eff=DET.omega_exc, alpha_sq=alpha_sq)
     spectra = []
     for k in range(seconds):
-        ts = synthesize_bhd(state, MODE, CAVITY, DET, duration=1.0, seed=[seed, k])
+        ts = synthesize_bhd(state, DET, duration=1.0, seed=[seed, k])
         spectra.append(welch_psd(ts, segment_length=50000))
     return average_spectra(spectra)
 

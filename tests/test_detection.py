@@ -23,21 +23,15 @@ from gupsim.detection import (
     synthesize_bhd,
     welch_psd,
 )
-from gupsim.dynamics import MechanicalMode
 from gupsim.errors import (
     DurationTooShort,
-    FilterUnstable,
     NyquistViolation,
     PeakNotResolved,
     RatioUndefined,
     SegmentTooLong,
 )
-from gupsim.optomech import CooledState, OpticalCavity
+from gupsim.optomech import CooledState
 
-MODE = MechanicalMode(omega_m=2 * math.pi * 525800.0,
-                      gamma_m=2 * math.pi * 525800.0 / 6.4e6,
-                      mass=1e-10, T_bath=9.0)
-CAVITY = OpticalCavity()
 DET = DetectionConfig()
 TWO_PI = 2 * math.pi
 
@@ -83,12 +77,19 @@ class TestDetectionConfig:
         with pytest.raises(ValueError):
             DetectionConfig(sample_rate=1.0e6)
 
+    def test_background_and_reference_guard(self):
+        with pytest.raises(ValueError, match="background_psd"):
+            DetectionConfig(background_psd=-1e-5)
+        # an excitation at 3 kHz puts the reference 4 kHz below it at -1 kHz
+        with pytest.raises(ValueError, match="lockin_ref"):
+            DetectionConfig(omega_exc=TWO_PI * 3e3, delta_lo=TWO_PI * 100.0)
+
 
 class TestSynthesizeBhd:
     def test_variance_matches_psd_budget(self):
         state = CooledState(n_bar=5.0, gamma_eff=TWO_PI * 6000.0,
                             omega_eff=DET.omega_exc)
-        ts = synthesize_bhd(state, MODE, CAVITY, DET, duration=0.5, seed=3)
+        ts = synthesize_bhd(state, DET, duration=0.5, seed=3)
         # (n+1)/2 + n/2 thermal + flat floor over the Nyquist band
         expect = (2 * 5.0 + 1) / 2 + DET.background_psd * DET.sample_rate / 2
         assert np.var(ts.samples) == pytest.approx(expect, rel=0.05)
@@ -96,27 +97,27 @@ class TestSynthesizeBhd:
     def test_seeded_reproducibility(self):
         state = CooledState(n_bar=2.0, gamma_eff=TWO_PI * 6000.0,
                             omega_eff=DET.omega_exc)
-        a = synthesize_bhd(state, MODE, CAVITY, DET, duration=0.05, seed=11)
-        b = synthesize_bhd(state, MODE, CAVITY, DET, duration=0.05, seed=11)
+        a = synthesize_bhd(state, DET, duration=0.05, seed=11)
+        b = synthesize_bhd(state, DET, duration=0.05, seed=11)
         assert np.array_equal(a.samples, b.samples)
 
     def test_duration_guard(self):
         state = CooledState(n_bar=5.0, gamma_eff=TWO_PI * 6000.0,
                             omega_eff=DET.omega_exc)
         with pytest.raises(DurationTooShort):
-            synthesize_bhd(state, MODE, CAVITY, DET, duration=1e-4, seed=0)
+            synthesize_bhd(state, DET, duration=1e-4, seed=0)
 
     def test_nyquist_guard(self):
         det = DetectionConfig(omega_exc=TWO_PI * 610e3, sample_rate=2.51e6)
         state = CooledState(n_bar=5.0, gamma_eff=TWO_PI * 6000.0,
                             omega_eff=TWO_PI * 1.24e6)
         with pytest.raises(NyquistViolation):
-            synthesize_bhd(state, MODE, CAVITY, det, duration=0.1, seed=0)
+            synthesize_bhd(state, det, duration=0.1, seed=0)
 
     def test_sidebands_separated_by_24_khz(self):
         state = CooledState(n_bar=5.0, gamma_eff=TWO_PI * 6000.0,
                             omega_eff=DET.omega_exc)
-        ts = synthesize_bhd(state, MODE, CAVITY, DET, duration=1.0, seed=5)
+        ts = synthesize_bhd(state, DET, duration=1.0, seed=5)
         spec = welch_psd(ts, segment_length=25000)
         fit = fit_lorentzian_pair(spec, DET)
         sep = fit.stokes.center - fit.antistokes.center
@@ -125,7 +126,7 @@ class TestSynthesizeBhd:
     def test_ground_state_has_no_antistokes(self):
         state = CooledState(n_bar=0.0, gamma_eff=TWO_PI * 6000.0,
                             omega_eff=DET.omega_exc)
-        ts = synthesize_bhd(state, MODE, CAVITY, DET, duration=1.0, seed=17)
+        ts = synthesize_bhd(state, DET, duration=1.0, seed=17)
         spec = welch_psd(ts, segment_length=50000)
         fit = fit_lorentzian_pair(spec, DET)
         assert fit.stokes.area == pytest.approx(0.5, rel=0.1)
@@ -192,11 +193,11 @@ class TestLockinDemodulate:
             rtol=0, atol=1e-12)
 
     def test_degenerate_filter_rejected(self):
-        ts = tone_series(8000.0, 1.0, 0.01)
-        with pytest.raises(FilterUnstable):
-            lockin_demodulate(ts, DetectionConfig(lockin_bandwidth=2e6))
-        with pytest.raises(FilterUnstable):
-            lockin_demodulate(ts, DetectionConfig(lockin_filter_order=0))
+        # refused where the settings are built, before a lock-in is designed
+        for key, value in (("lockin_bandwidth", 2e6), ("lockin_bandwidth", 0.0),
+                           ("lockin_filter_order", 0)):
+            with pytest.raises(ValueError, match=key):
+                DetectionConfig(**{key: value})
 
     def test_average_records(self):
         a = lockin_demodulate(tone_series(DET.antistokes_freq, 1.0, 0.01), DET)
@@ -245,7 +246,7 @@ class TestWelchPsd:
     def test_linewidth_recovery(self):
         state = CooledState(n_bar=5.0, gamma_eff=TWO_PI * 6000.0,
                             omega_eff=DET.omega_exc)
-        spectra = [welch_psd(synthesize_bhd(state, MODE, CAVITY, DET, 1.0, [8, k]),
+        spectra = [welch_psd(synthesize_bhd(state, DET, 1.0, [8, k]),
                              segment_length=50000) for k in range(4)]
         fit = fit_lorentzian_pair(average_spectra(spectra), DET)
         width = 0.5 * (fit.stokes.width + fit.antistokes.width)
@@ -318,7 +319,7 @@ class TestStationaryCarriers:
                         alpha_sq=35.0)
 
     def chunk(self, seed, duration=1.0, state=STATE):
-        return synthesize_bhd(state, MODE, CAVITY, DET, duration, seed)
+        return synthesize_bhd(state, DET, duration, seed)
 
     def test_chunk_independent_of_cache(self):
         cache = gupsim.detection._stationary_carriers
@@ -346,7 +347,7 @@ class TestLorentzianPair:
     def synth_spec(self, n_bar, alpha_sq, seconds, seed, gamma_hz=6000.0):
         state = CooledState(n_bar=n_bar, gamma_eff=TWO_PI * gamma_hz,
                             omega_eff=DET.omega_exc, alpha_sq=alpha_sq)
-        specs = [welch_psd(synthesize_bhd(state, MODE, CAVITY, DET, 1.0, [seed, k]),
+        specs = [welch_psd(synthesize_bhd(state, DET, 1.0, [seed, k]),
                            segment_length=50000) for k in range(seconds)]
         return average_spectra(specs)
 

@@ -126,3 +126,7 @@ class TestCooledState:
     def test_invalid_occupancy(self):
         with pytest.raises(NegativeOccupancy):
             CooledState(n_bar=-1.0, gamma_eff=1.0, omega_eff=1.0)
+
+    def test_invalid_amplitude(self):
+        with pytest.raises(ValueError, match="alpha_sq"):
+            CooledState(n_bar=1.0, gamma_eff=1.0, omega_eff=1.0, alpha_sq=-1.0)

@@ -9,6 +9,7 @@ import gupsim.detection
 import gupsim.protocol
 from gupsim.detection import DetectionConfig, average_records, lockin_demodulate, lockin_sos
 from gupsim.dynamics import DeformationParams, MechanicalMode, beta_tilde_for_epsilon
+from gupsim.errors import NegativeOccupancy, OutsideLinearRegime
 from gupsim.estimation import fit_ringdown, fit_transient_shift
 from gupsim.optomech import OpticalCavity, optical_damping_and_spring
 from gupsim.protocol import (
@@ -86,6 +87,21 @@ class TestConfig:
         assert st.n_bar == 5.0
         assert st.alpha_sq == pytest.approx(1200.0)
         assert st.omega_eff == cfg.detection.omega_exc
+
+    @pytest.mark.parametrize("kw, error", [
+        (dict(gamma_eff=0.0), ValueError),
+        (dict(gamma_eff=-TWO_PI * 6000.0), ValueError),
+        (dict(n_bar=-1.0), NegativeOccupancy),
+        (dict(alpha_sq=-1.0), ValueError),
+        (dict(cavity=OpticalCavity(probe_detuning=TWO_PI * 5e5)), OutsideLinearRegime),
+        (dict(series_probe_detunings=(0.0, TWO_PI * 5e5)), OutsideLinearRegime),
+    ], ids=["gamma_eff_zero", "gamma_eff_negative", "n_bar_negative", "alpha_sq_negative",
+            "probe_detuning", "sweep_detuning"])
+    def test_refused_when_built(self, kw, error):
+        # the rules of the operating point and of the linear regime hold for
+        # every series, so they are checked before any series is made
+        with pytest.raises(error):
+            noisy_config(**kw)
 
 
 @pytest.mark.parametrize("alpha_sq, n_bar", [(0.0, 0.0), (1200.0, 0.0), (1200.0, 5.0),

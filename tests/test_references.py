@@ -1,6 +1,7 @@
 """Every public module-level function and class of `gupsim`, and every public
 method and property of its classes, is used by the program: by `src/`,
-`scripts/` or `perfbench/`, not by tests alone.
+`scripts/` or `perfbench/`, not by tests alone. Every error kind of
+`gupsim.errors` is raised in `src/`.
 
 A module-level name counts as used where it appears as a name, an attribute,
 an imported name, or a part of a dotted-identifier string (`perfbench/tracer.py`
@@ -17,6 +18,8 @@ import ast
 import importlib
 import inspect
 from pathlib import Path
+
+from gupsim import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted((ROOT / "src" / "gupsim").glob("*.py"))
@@ -35,8 +38,8 @@ KEPT = {
     "Trajectory.energies": "the deformed-dynamics oracle: energy conservation",
     "rethermalization_rate": "acceptance 2: the rethermalization constant",
     "DetectionConfig.record_rate": "acceptance 6: the lock-in output sample rate",
-    "lockin_filter_response": "ROADMAP item 1: forward model of the lock-in",
-    "coherent_peak_analysis": "acceptance 5 and ROADMAP item 5: coherent amplitude",
+    "lockin_filter_response": "ROADMAP item 2: forward model of the lock-in",
+    "coherent_peak_analysis": "acceptance 5 and ROADMAP item 8: coherent amplitude",
 }
 
 
@@ -110,3 +113,18 @@ def test_every_public_method_is_used():
 
 def test_kept_names_exist():
     assert sorted(set(KEPT) - set(_public_definitions()) - set(_public_methods())) == []
+
+
+def test_every_error_kind_is_raised():
+    # an error kind that no `raise` in src/ names can no longer happen
+    kinds = {name for name, cls in vars(errors).items()
+             if isinstance(cls, type) and issubclass(cls, errors.GupsimError)
+             and cls is not errors.GupsimError}
+    raised = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.update(n.id if isinstance(n, ast.Name) else n.attr
+                              for n in ast.walk(node.exc)
+                              if isinstance(n, (ast.Name, ast.Attribute)))
+    assert sorted(kinds - raised) == []

@@ -280,6 +280,27 @@ class TestConfigRoundTrip:
         assert err["message"].startswith("alpha_sq_per_series[1] must be >= 0")
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key, value, error", [
+        ("operating", "gamma_eff_hz", -6000.0, "ValueError"),
+        ("operating", "gamma_eff_hz", 0, "ValueError"),
+        ("detection", "background_psd", -1e-5, "ValueError"),
+        ("detection", "lockin_bandwidth_hz", 0, "ValueError"),
+        ("detection", "lockin_filter_order", 0, "ValueError"),
+        (None, "series_probe_detunings_hz", [0.0, 500000.0], "OutsideLinearRegime"),
+    ], ids=["gamma_eff_negative", "gamma_eff_zero", "background_negative",
+            "bandwidth_zero", "filter_order_zero", "sweep_outside_linear_regime"])
+    def test_unusable_config_refused(self, tmp_path, capsys, section, key, value, error):
+        # refused at load, before series 0 or a snapshot is written
+        d = config_to_dict(small_config(schedule=ProtocolSchedule(group_size=2)
+                                        .with_duration(0.08)))
+        (d[section] if section else d)[key] = value
+        (tmp_path / "c.json").write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out), "--series", "2"]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == error
+        assert not out.exists()
+
     def test_hash_sensitive_to_fields(self):
         d1 = config_to_dict(small_config(seed=1))
         d2 = config_to_dict(small_config(seed=2))
@@ -575,6 +596,25 @@ class TestCli:
         result = json.loads(capsys.readouterr().out)
         assert result["beta0_limit"] > 0
         assert result["convention"] == "mean-square-displacement"
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("operating", "alpha_sq", "1200"), ("shift_x", "n", "2"), ("shift_x", "n", 2.0),
+        ("operating", "n_bar", None), ("shift_x", "mean_hz", None),
+    ], ids=["alpha_sq_string", "n_string", "n_float", "n_bar_null", "mean_null"])
+    def test_bound_refuses_mistyped_report(self, campaign_dir, tmp_path, capsys,
+                                           section, key, value):
+        out = campaign_dir / "out"
+        assert main(["analyze", "--in", str(out)]) == 0
+        report = json.loads((out / "analysis.report").read_text())
+        report[section][key] = value
+        (tmp_path / "analysis.report").write_text(json.dumps(report))
+        capsys.readouterr()
+        assert main(["bound", "--summary", str(tmp_path / "analysis.report")]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError"
+        assert f"{section}.{key}" in err["message"]
+        assert captured.out == ""
 
     def test_bound_refuses_series_summary(self, campaign_dir, capsys):
         out = campaign_dir / "out"
