@@ -38,8 +38,8 @@ from .detection import (
     welch_psd,
 )
 from .dynamics import TWO_PI, purity
-from .errors import GupsimError, SegmentTooLong
-from .estimation import ShiftStatistics, beta_bound, width_vs_shift_scan
+from .errors import GupsimError, SegmentTooLong, WindowOutOfRange
+from .estimation import DEFAULT_BASE_WINDOW, ShiftStatistics, beta_bound, width_vs_shift_scan
 from .optomech import CooledState, spring_damping_slope
 from .pool import chunked_map
 from .protocol import analyze_dataset, summarize_campaign
@@ -99,6 +99,10 @@ def cmd_simulate(args) -> int:
         return _simulate_stationary(cfg, out, args.stationary)
     if args.series < 1:
         raise ValueError("--series must be >= 1")
+    if cfg.schedule.measure < DEFAULT_BASE_WINDOW[1]:
+        raise WindowOutOfRange(
+            f"schedule.measure_s {cfg.schedule.measure:g} ends before the ring-down "
+            f"window {DEFAULT_BASE_WINDOW} that analyze fits")
     # records of an earlier run would be analyzed with this one's
     if any(out.glob("series_*/records/*.qrec")):
         raise FileExistsError(f"{out} already holds .qrec records")

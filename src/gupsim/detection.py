@@ -243,15 +243,16 @@ def assemble_bhd(env_stokes: np.ndarray, env_antistokes: np.ndarray,
     """Real detected signal from the two sideband envelopes on their carriers plus white shot noise.
 
     The envelopes are multiplied by their carriers in place, so no further
-    full-length complex buffer is allocated; the result is a view of the
-    anti-Stokes buffer.
+    full-length complex buffer is allocated. The result is a contiguous array
+    of its own, which holds neither envelope alive.
     """
     env_antistokes *= carrier_antistokes
     env_stokes *= carrier_stokes
-    s = env_antistokes.real
-    s += env_stokes.real
+    s = np.add(env_antistokes.real, env_stokes.real)
     if background_psd > 0:
-        s += rng.standard_normal(s.size) * math.sqrt(background_psd * sample_rate / 2.0)
+        noise = rng.standard_normal(s.size)
+        noise *= math.sqrt(background_psd * sample_rate / 2.0)
+        s += noise
     return s
 
 

@@ -14,10 +14,15 @@ settings) and f_m the mechanical offset from the excitation tone. A rapidly
 decaying early frequency shift delta_f(t) perturbs the quadratures at first
 order by dQ/d(f_m t) * (delta_f0 * t + c), which is fitted linearly on the
 residuals of the extrapolated late-window model.
+
+The model is linear in the amplitudes of its two lines. The late-window fit
+therefore solves by Gauss-Newton for (1/tau, f_m) alone, and solves for the
+amplitudes by least squares at every step (variable projection).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -104,11 +109,6 @@ class RingdownFit:
         return ringdown_model(t, self.A, self.tau, self.f_m, self.phi,
                               self.B, self.delta_phi, self.f_lower, self.f_upper)
 
-    def phase_derivative(self, t):
-        """dX/d(f_m t) and dY/d(f_m t) along the fitted model."""
-        X, Y = self.evaluate(t)
-        return TWO_PI * Y, -TWO_PI * X
-
 
 def _ringdown_residual_jacobian(t, x_data, y_data, f_lower, f_upper):
     """Builders for the stacked residual/Jacobian of the joint quadrature fit.
@@ -151,8 +151,68 @@ def _ringdown_residual_jacobian(t, x_data, y_data, f_lower, f_upper):
     return residual, jacobian
 
 
+def _projected_residual_jacobian(t, x_data, y_data, f_lower, f_upper):
+    """Builders for the joint quadrature fit in theta = (1/tau, f_m) alone.
+
+    In z = X + iY the model is alpha e1 + beta e2, with the lines
+    e1 = exp(-t/tau + i w1 t) and e2 = exp(-t/tau - i w2 t), and the complex
+    amplitudes alpha = A exp(i phi) and beta = AB exp(-i(phi + dphi)). The
+    real basis of the four amplitudes, env * [cos w1, -sin w1, cos w2, -sin w2]
+    stacked over X and Y, is (e1, i e1, e2, -i e2), so its QR is the complex
+    QR of (e1, e2), here by Gram-Schmidt. By variable projection (Golub and
+    Pereyra, SIAM J. Numer. Anal. 10, 413 (1973)) the residual is the data's
+    projection onto the basis minus the data. The Jacobian is Kaufman's
+    (BIT 15, 49 (1975)): the projector onto the complement of the basis,
+    applied to the model's derivatives in 1/tau and f_m, -t * model and the
+    model turned by 2 pi t. The residual and the Jacobian at one point share
+    its QR. Their rows interleave X and Y. Returns (residual, jacobian,
+    amplitudes), the last giving (alpha, beta) at a point.
+    """
+    z = x_data + 1j * y_data
+    last = {"theta": None}
+
+    def project(theta):
+        if np.array_equal(last["theta"], theta):
+            return last
+        k, f_m = theta
+        e1 = np.exp(t * complex(-k, TWO_PI * (f_lower - f_m)))
+        e2 = np.exp(t * complex(-k, -TWO_PI * (f_upper + f_m)))
+        r11 = math.sqrt(np.vdot(e1, e1).real)
+        q1 = e1 / r11
+        r12 = np.vdot(q1, e2)
+        q2 = e2 - r12 * q1
+        r22 = math.sqrt(np.vdot(q2, q2).real)
+        q2 /= r22
+        c1, c2 = np.vdot(q1, z), np.vdot(q2, z)
+        last.update(theta=theta.copy(), q1=q1, q2=q2,
+                    R=(r11, r12, r22), c=(c1, c2), model=c1 * q1 + c2 * q2)
+        return last
+
+    def residual(theta):
+        return (project(theta)["model"] - z).view(float)
+
+    def jacobian(theta):
+        p = project(theta)
+        q1, q2 = p["q1"], p["q2"]
+        u = t * p["model"]
+        u -= np.vdot(q1, u) * q1 + np.vdot(q2, u) * q2
+        J = np.empty((2, t.size), dtype=complex)
+        J[0] = -u
+        J[1] = (-TWO_PI * 1j) * u
+        return J.view(float).T
+
+    def amplitudes(theta):
+        p = project(theta)
+        r11, r12, r22 = p["R"]
+        c1, c2 = p["c"]
+        beta = c2 / r22
+        return (c1 - beta * r12) / r11, beta
+
+    return residual, jacobian, amplitudes
+
+
 def _initial_guess(t, x_data, y_data, f_lower, f_upper):
-    """FFT peak + log-envelope heuristic for (A, 1/tau, f_m, phi, B, dphi)."""
+    """FFT peak + log-envelope heuristic for (1/tau, f_m)."""
     z = x_data + 1j * y_data
     n = t.size
     dt = t[1] - t[0]
@@ -184,34 +244,7 @@ def _initial_guess(t, x_data, y_data, f_lower, f_upper):
     fm_candidates = np.array([f_lower - f1, f2 - f_upper])
     weights = np.array([a1, a2])
     f_m0 = float(np.sum(fm_candidates * weights) / np.sum(weights))
-
-    # with (1/tau, f_m) pinned the model is linear in the quadrature amplitudes
-    amp = _linear_amplitudes(t, x_data, y_data, rate0, f_m0, f_lower, f_upper)
-    return np.array([amp[0], rate0, f_m0, amp[1], amp[2], amp[3]])
-
-
-def _linear_amplitudes(t, x_data, y_data, rate, f_m, f_lower, f_upper):
-    """Solve for (A, phi, B, dphi) given (1/tau, f_m); the model is linear in
-    a1 = A cos phi, b1 = A sin phi, a2 = AB cos(phi+dphi), b2 = AB sin(phi+dphi)."""
-    env = np.exp(-t * rate)
-    w1 = TWO_PI * (f_lower - f_m) * t
-    w2 = TWO_PI * (f_upper + f_m) * t
-    c1, s1 = np.cos(w1) * env, np.sin(w1) * env
-    c2, s2 = np.cos(w2) * env, np.sin(w2) * env
-    zeros = np.zeros_like(t)
-    Gx = np.column_stack([c1, -s1, c2, -s2])
-    Gy = np.column_stack([s1, c1, -s2, -c2])
-    G = np.vstack([Gx, Gy])
-    rhs = np.concatenate([x_data, y_data])
-    coef, *_ = np.linalg.lstsq(G, rhs, rcond=None)
-    a1, b1, a2, b2 = coef
-    A = math.hypot(a1, b1)
-    phi = math.atan2(b1, a1)
-    AB = math.hypot(a2, b2)
-    B = AB / A if A > 0 else 0.0
-    dphi = math.atan2(b2, a2) - phi
-    dphi = (dphi + math.pi) % TWO_PI - math.pi
-    return A, phi, B, dphi
+    return rate0, f_m0
 
 
 def fit_ringdown(rec: QuadratureRecord, window: tuple[float, float] = DEFAULT_BASE_WINDOW,
@@ -221,11 +254,16 @@ def fit_ringdown(rec: QuadratureRecord, window: tuple[float, float] = DEFAULT_BA
     f_lower and f_upper are the lock-in frequencies of the anti-Stokes and
     Stokes lines at f_m = 0; `DetectionConfig.line_offsets` gives them for a
     detection chain, and the defaults are those of `DetectionConfig()`.
-    Damped Gauss-Newton from an FFT-peak / log-envelope initial guess, with
-    three fallback starts. The solver works on 1/tau; the covariance, from
-    the Jacobian at the optimum, is carried over to tau.
+    Damped Gauss-Newton on (1/tau, f_m) alone, with the line amplitudes
+    projected out at every step (`_projected_residual_jacobian`), from an
+    FFT-peak / log-envelope initial guess. Three fallback starts follow, each
+    tried only if the one before fails. (A, phi, B, dphi) come from the
+    amplitudes at the optimum, so A >= 0 and B >= 0. The covariance of all
+    six parameters comes from the six-column Jacobian at the optimum, with
+    the residual variance on 2n - 6 degrees of freedom, and is carried over
+    from 1/tau to tau.
     Raises WindowOutOfRange if the window does not lie inside the record and
-    FitDiverged if the solver fails from every initial-guess candidate.
+    FitDiverged if the solver fails from every start.
     """
     t_rec = rec.times
     if window[0] < t_rec[0] - 1e-12 or window[1] > t_rec[-1] + rec.x_quad.dt + 1e-12:
@@ -236,19 +274,14 @@ def fit_ringdown(rec: QuadratureRecord, window: tuple[float, float] = DEFAULT_BA
     x_data = sub.x_quad.samples
     y_data = sub.y_quad.samples
 
-    theta0 = _initial_guess(t, x_data, y_data, f_lower, f_upper)
-    residual, jacobian = _ringdown_residual_jacobian(t, x_data, y_data, f_lower, f_upper)
-
-    candidates = [theta0]
-    # fallbacks: f_m from each line alone, then a fresh linear-amplitude solve
-    for fm_alt in (theta0[2] + 1.0, theta0[2] - 1.0, 0.0):
-        amp = _linear_amplitudes(t, x_data, y_data, theta0[1], fm_alt, f_lower, f_upper)
-        candidates.append(np.array([amp[0], theta0[1], fm_alt, amp[1], amp[2], amp[3]]))
-
+    rate0, f_m0 = _initial_guess(t, x_data, y_data, f_lower, f_upper)
+    residual, jacobian, amplitudes = _projected_residual_jacobian(
+        t, x_data, y_data, f_lower, f_upper)
     last_exc = None
-    for cand in candidates:
+    # fallback starts: f_m shifted by 1 Hz either way, then no offset
+    for f_m_start in (f_m0, f_m0 + 1.0, f_m0 - 1.0, 0.0):
         try:
-            res = damped_gauss_newton(residual, jacobian, cand)
+            res = damped_gauss_newton(residual, jacobian, np.array([rate0, f_m_start]))
         except FitDiverged as exc:
             last_exc = exc
             continue
@@ -257,22 +290,27 @@ def fit_ringdown(rec: QuadratureRecord, window: tuple[float, float] = DEFAULT_BA
     else:
         raise last_exc or FitDiverged("ring-down fit did not converge")
 
-    A, k, f_m, phi, B, dphi = res.params
+    k, f_m = res.params
+    alpha, beta = amplitudes(res.params)
+    A = abs(alpha)
+    phi = cmath.phase(alpha)
+    B = abs(beta) / A if A > 0 else 0.0
+    dphi = (-cmath.phase(beta) - phi + math.pi) % TWO_PI - math.pi
+    _, jacobian6 = _ringdown_residual_jacobian(t, x_data, y_data, f_lower, f_upper)
+    J = jacobian6(np.array([A, k, f_m, phi, B, dphi]))
+    sigma2 = 2.0 * res.cost / max(J.shape[0] - J.shape[1], 1)
+    try:
+        cov = sigma2 * np.linalg.inv(J.T @ J)
+    except np.linalg.LinAlgError:
+        cov = np.full((6, 6), np.nan)
     tau = 1.0 / k
     dparams = np.ones(6)
     dparams[1] = -tau ** 2      # d tau / d(1/tau)
-    cov = res.covariance * np.outer(dparams, dparams)
-    # canonicalize: positive amplitude pair, wrapped phases
-    if A < 0:
-        A, phi = -A, phi + math.pi
-    if B < 0:
-        B, dphi = -B, dphi + math.pi
-    phi = (phi + math.pi) % TWO_PI - math.pi
-    dphi = (dphi + math.pi) % TWO_PI - math.pi
-    return RingdownFit(A=float(A), tau=float(tau), f_m=float(f_m), phi=float(phi),
-                       B=float(B), delta_phi=float(dphi), covariance=cov,
+    cov = cov * np.outer(dparams, dparams)
+    return RingdownFit(A=float(A), tau=float(tau), f_m=float(f_m), phi=phi, B=float(B),
+                       delta_phi=dphi, covariance=cov,
                        window=window, f_lower=f_lower, f_upper=f_upper,
-                       residual_std=res.residual_std, converged=res.converged,
+                       residual_std=math.sqrt(sigma2), converged=res.converged,
                        iterations=res.iterations)
 
 
@@ -312,7 +350,8 @@ def fit_transient_shift(rec: QuadratureRecord, base: RingdownFit,
     sub = rec.window(*early_window)
     t = sub.times
     x_model, y_model = base.evaluate(t)
-    dx_du, dy_du = base.phase_derivative(t)
+    # dX/d(f_m t) and dY/d(f_m t) along the model
+    dx_du, dy_du = TWO_PI * y_model, -TWO_PI * x_model
 
     fits = []
     for name, data, model, deriv in (("X", sub.x_quad.samples, x_model, dx_du),

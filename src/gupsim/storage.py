@@ -169,7 +169,7 @@ def _typed(d: dict, key: str, kinds: tuple[type, ...] = _NUMBER, sweep: bool = F
     if not (type(value) is list and all(type(v) in kinds for v in value) if sweep
             else type(value) in kinds):
         names = " or ".join(k.__name__ for k in kinds)
-        raise ValueError(f"config key {key} must be a JSON {'list of ' * sweep}{names}, "
+        raise ValueError(f"key {key} must be a JSON {'list of ' * sweep}{names}, "
                          f"got {value!r}")
     return tuple(value) if sweep else value
 

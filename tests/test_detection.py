@@ -101,6 +101,13 @@ class TestSynthesizeBhd:
         b = synthesize_bhd(state, DET, duration=0.05, seed=11)
         assert np.array_equal(a.samples, b.samples)
 
+    def test_samples_contiguous(self):
+        # an array of their own, not a strided view of a complex envelope, so
+        # save_raw writes them without a copy
+        state = CooledState(n_bar=2.0, gamma_eff=TWO_PI * 6000.0,
+                            omega_eff=DET.omega_exc)
+        assert synthesize_bhd(state, DET, duration=0.05, seed=11).samples.flags.c_contiguous
+
     def test_duration_guard(self):
         state = CooledState(n_bar=5.0, gamma_eff=TWO_PI * 6000.0,
                             omega_eff=DET.omega_exc)

@@ -17,8 +17,10 @@ from gupsim.errors import (
     WindowOverlap,
 )
 from gupsim.estimation import (
+    DEFAULT_BASE_WINDOW,
     ShiftFit,
     ShiftStatistics,
+    _ringdown_residual_jacobian,
     aggregate_shifts,
     beta_bound,
     fit_ringdown,
@@ -26,6 +28,7 @@ from gupsim.estimation import (
     ringdown_model,
     width_vs_shift_scan,
 )
+from gupsim.leastsq import damped_gauss_newton
 from gupsim.optomech import CooledState
 
 FS = 312500.0
@@ -133,6 +136,29 @@ class TestFitRingdown:
             draws.append((fit.f_m - 3.0) / fit.f_m_err)
         # normalized errors should be ~ unit scatter
         assert 0.5 < np.std(draws) < 2.0
+
+    @pytest.mark.parametrize("params", [
+        (5.0, 300e-6, 3.0, 0.8, 0.9, -0.5),
+        (1.0, -300e-6, 10.0, 0.4, 0.8, 0.2),
+        (3.0, 400e-6, 12.0, 1.0, 0.0, 0.0),
+    ], ids=["damped", "anti_damped", "single_tone"])
+    def test_projected_fit_is_the_six_parameter_optimum(self, params):
+        # the fit solves (1/tau, f_m) with the amplitudes projected out; the
+        # six-parameter solver, started at its result, moves no parameter by
+        # more than 1e-6 of its standard error
+        rng = np.random.default_rng(26)
+        for _ in range(5):
+            rec = make_record(*params, noise=0.05, rng=rng)
+            fit = fit_ringdown(rec)
+            sub = rec.window(*DEFAULT_BASE_WINDOW)
+            residual, jacobian = _ringdown_residual_jacobian(
+                sub.times, sub.x_quad.samples, sub.y_quad.samples, 8000.0, 16000.0)
+            theta = np.array([fit.A, 1.0 / fit.tau, fit.f_m, fit.phi, fit.B,
+                              fit.delta_phi])
+            res = damped_gauss_newton(residual, jacobian, theta)
+            assert res.converged
+            se = np.sqrt(np.diag(res.covariance))
+            assert np.max(np.abs(res.params - theta) / se) <= 1e-6
 
 
 class TestTransientShift:

@@ -301,6 +301,19 @@ class TestConfigRoundTrip:
         assert json.loads(capsys.readouterr().err)["error"] == error
         assert not out.exists()
 
+    def test_series_shorter_than_ringdown_window_refused(self, tmp_path, capsys):
+        # a measurement that ends before the ring-down window could not be
+        # analyzed, so no series is written
+        d = config_to_dict(small_config(schedule=ProtocolSchedule(group_size=2)
+                                        .with_duration(0.08)))
+        d["schedule"]["measure_s"] = 0.0005
+        (tmp_path / "c.json").write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "WindowOutOfRange"
+        assert not out.exists()
+
     def test_hash_sensitive_to_fields(self):
         d1 = config_to_dict(small_config(seed=1))
         d2 = config_to_dict(small_config(seed=2))
@@ -427,8 +440,7 @@ class TestRecordIO:
     @pytest.mark.parametrize("layout", ["native", "big_endian", "strided"])
     def test_raw_samples_written_as_little_endian_copy(self, tmp_path, layout):
         # the samples are written as `samples.astype("<f8").tobytes()` would give,
-        # whatever their layout; synthesize_bhd's are the strided real part of
-        # a complex buffer
+        # whatever their layout, such as the strided real part of a complex buffer
         z = np.random.default_rng(9).standard_normal(2000).view(complex)
         samples = {"native": z.imag.copy(), "big_endian": z.imag.astype(">f8"),
                    "strided": z.real}[layout]
@@ -614,6 +626,7 @@ class TestCli:
         err = json.loads(captured.err)
         assert err["error"] == "ValueError"
         assert f"{section}.{key}" in err["message"]
+        assert "config key" not in err["message"]
         assert captured.out == ""
 
     def test_bound_refuses_series_summary(self, campaign_dir, capsys):
