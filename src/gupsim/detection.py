@@ -530,9 +530,6 @@ def fit_lorentzian_pair(spec: SpectrumEstimate, det: DetectionConfig) -> Lorentz
     # params: [c_s, w_s, a_s, c_as, w_as, a_as, bg_s, bg_as]
     theta0 = np.array([g_s[0], g_s[1], g_s[2], g_as[0], g_as[1], g_as[2],
                        g_s[3], g_as[3]])
-    scale = np.array([spec.resolution, g_s[1], max(g_s[2], 1e-30),
-                      spec.resolution, g_as[1], max(g_as[2], 1e-30),
-                      max(g_s[3], 1e-30), max(g_as[3], 1e-30)])
 
     def model(theta):
         c_s, w_s, a_s, c_as, w_as, a_as, bg1, bg2 = theta

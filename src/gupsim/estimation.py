@@ -358,14 +358,14 @@ def fit_transient_shift(rec: QuadratureRecord, base: RingdownFit,
                                      ("Y", sub.y_quad.samples, y_model, dy_du)):
         resid = data - model
         G = np.column_stack([deriv * t, deriv])
-        gtg = G.T @ G
-        if np.linalg.cond(gtg) > 1e14:
+        coef, _, rank, s = np.linalg.lstsq(G, resid, rcond=None)
+        # (s[0] / s[-1])^2 is the condition number of G^T G
+        if rank < 2 or (s[0] / s[-1]) ** 2 > 1e14:
             raise BaseFitInvalid(f"degenerate shift regressors on {name}")
-        coef, rss, *_ = np.linalg.lstsq(G, resid, rcond=None)
         r = resid - G @ coef
         dof = max(t.size - 2, 1)
         sigma2 = float(r @ r) / dof
-        cov = sigma2 * np.linalg.inv(gtg)
+        cov = sigma2 * np.linalg.inv(G.T @ G)
         fits.append(ShiftFit(delta_fm0=float(coef[0]), c=float(coef[1]),
                              covariance=cov, window=early_window))
     return fits[0], fits[1]

@@ -36,7 +36,6 @@ class LeastSquaresResult:
     cost: float                 # 0.5 * sum(residual^2)
     iterations: int
     converged: bool
-    residual_std: float = 0.0
 
 
 def _gauss_newton_step(J: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, float]:
@@ -134,13 +133,12 @@ def damped_gauss_newton(residual_fn, jacobian_fn, theta0) -> LeastSquaresResult:
                 converged = True
                 break
             raise FitDiverged(f"no descent step found at iteration {it}")
+    else:
+        J = jacobian_fn(theta)      # the last step moved theta; every break leaves J there
 
-    J = jacobian_fn(theta)
-    sigma2 = 2.0 * cost / dof
     try:
-        cov = sigma2 * np.linalg.inv(J.T @ J)
+        cov = 2.0 * cost / dof * np.linalg.inv(J.T @ J)
     except np.linalg.LinAlgError:
         cov = np.full((theta.size, theta.size), np.nan)
     return LeastSquaresResult(params=theta, covariance=cov, cost=cost,
-                              iterations=it, converged=converged,
-                              residual_std=float(np.sqrt(sigma2)))
+                              iterations=it, converged=converged)

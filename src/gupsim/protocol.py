@@ -37,7 +37,7 @@ from .detection import (
     stationary_envelope,
 )
 from .dynamics import TWO_PI, DeformationParams, MechanicalMode
-from .errors import TooFewSamples
+from .errors import OutsideLinearRegime, TooFewSamples
 from .estimation import (
     RingdownFit,
     ShiftFit,
@@ -105,24 +105,25 @@ class CampaignConfig:
     gamma_eff: float = TWO_PI * 6000.0      # pump-on effective linewidth, rad/s
     alpha_sq: float = 35.0
     seed: int = 0
-    series_probe_detunings: tuple[float, ...] | None = None    # rad/s, per series
-    alpha_sq_per_series: tuple[float, ...] | None = None
+    # per series: (probe detuning in rad/s, alpha_sq); tuples keep the config hashable
+    series: tuple[tuple[float, float], ...] | None = None
     shift_injection: tuple[float, float] | None = None          # (delta0_hz, tau_s)
     switch_burst: bool = True
 
     def __post_init__(self):
         self.operating_state        # CooledState checks n_bar, gamma_eff and alpha_sq
-        for d in (self.cavity.probe_detuning, *(self.series_probe_detunings or ())):
-            optical_damping_and_spring(self.cavity, self.mode, d)     # the linear regime
-        for i, a in enumerate(self.alpha_sq_per_series or ()):
-            if a < 0:
-                raise ValueError(f"alpha_sq_per_series[{i}] must be >= 0, got {a!r}")
+        optical_damping_and_spring(self.cavity, self.mode,
+                                   self.cavity.probe_detuning)     # the linear regime
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        for name in ("series_probe_detunings", "alpha_sq_per_series"):
-            if getattr(self, name) == ():
-                raise ValueError(f"{name} is empty: a sweep needs at least one value "
-                                 "(null for none)")
+        if self.series == ():
+            raise ValueError("series is empty: it needs at least one entry (null for none)")
+        # each entry is checked by building its series' config, under the same rules
+        for i in range(len(self.series or ())):
+            try:
+                self.series_variant(i)
+            except (ValueError, OutsideLinearRegime) as exc:
+                raise type(exc)(f"series[{i}]: {exc}") from None
         if self.schedule.pump_on * self.gamma_eff < 10.0:
             warnings.warn("pump_on is not long compared to 1/gamma_eff; the "
                           "stationary-state assumption is doubtful", stacklevel=2)
@@ -139,15 +140,13 @@ class CampaignConfig:
         return [self.seed, series_index, cycle_index]
 
     def series_variant(self, series_index: int) -> "CampaignConfig":
-        """Per-series configuration: probe detuning and excitation sweeps."""
-        out = self
-        if self.series_probe_detunings is not None:
-            det = self.series_probe_detunings[series_index % len(self.series_probe_detunings)]
-            out = replace(out, cavity=replace(self.cavity, probe_detuning=det))
-        if self.alpha_sq_per_series is not None:
-            a = self.alpha_sq_per_series[series_index % len(self.alpha_sq_per_series)]
-            out = replace(out, alpha_sq=a)
-        return out
+        """Per-series configuration: entry `series_index % len(series)` of `series`
+        as the probe detuning and alpha_sq, with no `series` of its own."""
+        if self.series is None:
+            return self
+        detuning, alpha_sq = self.series[series_index % len(self.series)]
+        return replace(self, series=None, alpha_sq=alpha_sq,
+                       cavity=replace(self.cavity, probe_detuning=detuning))
 
 
 @dataclass

@@ -108,12 +108,9 @@ def config_to_dict(cfg: CampaignConfig) -> dict:
             "pre_roll_s": cfg.schedule.pre_roll,
         },
         "seed": cfg.seed,
-        "series_probe_detunings_hz": (
-            None if cfg.series_probe_detunings is None
-            else [d / TWO_PI for d in cfg.series_probe_detunings]),
-        "alpha_sq_per_series": (
-            None if cfg.alpha_sq_per_series is None
-            else list(cfg.alpha_sq_per_series)),
+        "series": (
+            None if cfg.series is None
+            else [{"probe_detuning_hz": d / TWO_PI, "alpha_sq": a} for d, a in cfg.series]),
         "shift_injection": (
             None if cfg.shift_injection is None
             else {"delta0_hz": cfg.shift_injection[0], "tau_s": cfg.shift_injection[1]}),
@@ -130,14 +127,16 @@ def mode_from_dict(d: dict) -> MechanicalMode:
                           T_bath=_typed(d, "mode.bath_temperature_k"))
 
 
-def _check_finite(d: dict, prefix: str = ""):
+def _check_finite(value, key: str = ""):
     """ValueError naming the first key that holds a NaN or an infinite number."""
-    for k, v in d.items():
-        if isinstance(v, dict):
-            _check_finite(v, f"{prefix}{k}.")
-        elif not all(math.isfinite(x) for x in (v if isinstance(v, list) else [v])
-                     if isinstance(x, float)):
-            raise ValueError(f"config key {prefix}{k} is not finite: {v}")
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _check_finite(v, f"{key}.{k}" if key else k)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _check_finite(v, f"{key}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"config key {key} is not finite: {value}")
 
 
 def _check_retired(d: dict, det: DetectionConfig):
@@ -147,40 +146,48 @@ def _check_retired(d: dict, det: DetectionConfig):
             ("store_raw", False, "is not supported: use simulate --stationary"),
             ("operating.excitation_phase_rad", 0.0, "is not supported: alpha is real"),
             ("detection.detuning_correction", [1.0, 1.0], "is not supported"),
-            ("detection.lockin_ref_hz", det.lockin_ref / TWO_PI, "is not supported")):
+            ("detection.lockin_ref_hz", det.lockin_ref / TWO_PI, "is not supported"),
+            ("series_probe_detunings_hz", None, "is retired: set each series in series"),
+            ("alpha_sq_per_series", None, "is retired: set each series in series")):
         *section, name = key.split(".")
         held = d.get(section[0], {}) if section else d
         # a lockin_ref_hz written as f_exc - 4000 can differ from this in its last bit
         if name in held and held[name] != value and not (
                 isinstance(value, float) and isinstance(held[name], (int, float))
                 and math.isclose(held[name], value, rel_tol=1e-12)):
-            raise ValueError(f"{key} {held[name]!r} {why}; only {value!r} is")
+            raise ValueError(f"{key} {held[name]!r} {why}; only {json.dumps(value)} is")
 
 
 _NUMBER = (int, float)
 
 
-def _typed(d: dict, key: str, kinds: tuple[type, ...] = _NUMBER, sweep: bool = False):
+def _typed(d: dict, key: str, kinds: tuple[type, ...] = _NUMBER):
     """The value at the dotted `key`; ValueError unless its type is one of `kinds`
-    (a bool is neither an int nor a float). With `sweep`, the value must be a list
-    whose every entry is, and it is returned as a tuple."""
+    (a bool is neither an int nor a float)."""
     *section, name = key.split(".")
     value = (d[section[0]] if section else d)[name]
-    if not (type(value) is list and all(type(v) in kinds for v in value) if sweep
-            else type(value) in kinds):
+    if type(value) not in kinds:
         names = " or ".join(k.__name__ for k in kinds)
-        raise ValueError(f"key {key} must be a JSON {'list of ' * sweep}{names}, "
-                         f"got {value!r}")
-    return tuple(value) if sweep else value
+        raise ValueError(f"key {key} must be a JSON {names}, got {value!r}")
+    return value
+
+
+def _series_entry(i: int, entry) -> tuple[float, float]:
+    """(probe detuning in rad/s, alpha_sq) of the JSON entry `series[i]`, read through
+    `_typed` under the key `series[i]`, so that an error names the entry."""
+    d = {f"series[{i}]": entry}
+    _typed(d, f"series[{i}]", (dict,))
+    return (TWO_PI * _typed(d, f"series[{i}].probe_detuning_hz"),
+            _typed(d, f"series[{i}].alpha_sq"))
 
 
 def config_from_dict(d: dict) -> CampaignConfig:
     """Parse the keys `config_to_dict` writes, ignoring any other. ValueError for a NaN
     or infinite number, for a value of another JSON type (a number that is not an int
-    or a float, a count or the seed that is not an int, a sweep that is not a list of
-    numbers, a `switch_burst` that is not a bool), a negative seed, an empty sweep, or
-    a retired setting that holds another value than the one the program uses
-    (`_check_retired`)."""
+    or a float, a count or the seed that is not an int, a `series` that is not a list
+    of objects of two numbers, a `switch_burst` that is not a bool), a negative seed, an
+    empty `series`, or a retired setting that holds another value than the one the
+    program uses (`_check_retired`). Each `series` entry needs both its keys."""
     _check_finite(d)
     mode = mode_from_dict(d)
     cavity = OpticalCavity(kappa=TWO_PI * _typed(d, "cavity.linewidth_hz"),
@@ -201,17 +208,13 @@ def config_from_dict(d: dict) -> CampaignConfig:
         cycles_per_series=_typed(d, "schedule.cycles_per_series", (int,)),
         group_size=_typed(d, "schedule.group_size", (int,)),
         pre_roll=_typed(d, "schedule.pre_roll_s"))
-    detunings, alpha_sqs = (
-        None if d.get(key) is None else _typed(d, key, sweep=True)
-        for key in ("series_probe_detunings_hz", "alpha_sq_per_series"))
     return CampaignConfig(
         mode=mode, cavity=cavity, deformation=deformation, detection=detection,
         schedule=schedule, n_bar=_typed(d, "operating.n_bar"),
         gamma_eff=TWO_PI * _typed(d, "operating.gamma_eff_hz"),
         alpha_sq=_typed(d, "operating.alpha_sq"), seed=_typed(d, "seed", (int,)),
-        series_probe_detunings=(
-            None if detunings is None else tuple(TWO_PI * x for x in detunings)),
-        alpha_sq_per_series=alpha_sqs,
+        series=(None if d.get("series") is None else tuple(
+            _series_entry(i, e) for i, e in enumerate(_typed(d, "series", (list,))))),
         shift_injection=(None if d.get("shift_injection") is None
                          else (_typed(d, "shift_injection.delta0_hz"),
                                _typed(d, "shift_injection.tau_s"))),

@@ -133,7 +133,7 @@ def test_criterion_3_optical_spring_line():
     detunings = tuple(f * CAVITY.kappa for f in np.linspace(-0.1, 0.1, 9))
     cfg = campaign_config(seed=33, alpha_sq=3500.0,
                           schedule=ProtocolSchedule(group_size=10).with_duration(1.2),
-                          series_probe_detunings=detunings)
+                          series=tuple((d, 3500.0) for d in detunings))
     datasets = [run_series(cfg, s) for s in range(9)]
     fits = [fit_ringdown(rec, window=(1e-4, 5e-4))
             for ds in datasets for rec in ds.grouped_records()]

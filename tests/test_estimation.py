@@ -224,6 +224,13 @@ class TestTransientShift:
         with pytest.raises(BaseFitInvalid):
             fit_transient_shift(rec, base)
 
+    def test_degenerate_regressors_rejected(self):
+        # a window that holds only t = 0 makes the delta_f0 column zero
+        rec = make_record(5.0, 4.0, 3.0, 0.8, 0.9, -0.5)
+        base = fit_ringdown(rec)
+        with pytest.raises(BaseFitInvalid, match="degenerate shift regressors on X"):
+            fit_transient_shift(rec, base, early_window=(0.0, 1e-6))
+
 
 class TestAggregateShifts:
     def fit(self, v):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gupsim.estimation import _ringdown_residual_jacobian, ringdown_model
+import gupsim.leastsq as leastsq
 from gupsim.leastsq import damped_gauss_newton
 
 FS = 312500.0
@@ -42,3 +43,18 @@ def test_converged_point_is_stationary(noise):
         se = np.sqrt(np.diag(res.covariance))
         assert np.max(np.abs(step) / se) <= 1e-9
 
+
+
+@pytest.mark.parametrize("max_iter", [None, 2], ids=["converged", "stopped"])
+def test_covariance_at_the_returned_point(monkeypatch, max_iter):
+    # the covariance is 2 cost / dof (J^T J)^-1 with J at the returned params,
+    # also when the walk stops at MAX_ITER right after a step
+    if max_iter is not None:
+        monkeypatch.setattr(leastsq, "MAX_ITER", max_iter)
+    residual, jacobian, start = noisy_ringdown_problem(np.random.default_rng(27), 0.05)
+    res = damped_gauss_newton(residual, jacobian, start)
+    assert res.converged == (max_iter is None)
+    J = jacobian(res.params)
+    dof = residual(res.params).size - res.params.size
+    np.testing.assert_array_equal(res.covariance,
+                                  2.0 * res.cost / dof * np.linalg.inv(J.T @ J))

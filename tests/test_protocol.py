@@ -94,9 +94,12 @@ class TestConfig:
         (dict(n_bar=-1.0), NegativeOccupancy),
         (dict(alpha_sq=-1.0), ValueError),
         (dict(cavity=OpticalCavity(probe_detuning=TWO_PI * 5e5)), OutsideLinearRegime),
-        (dict(series_probe_detunings=(0.0, TWO_PI * 5e5)), OutsideLinearRegime),
+        (dict(series=((0.0, 1200.0), (TWO_PI * 5e5, 1200.0))), OutsideLinearRegime),
+        (dict(series=((0.0, 1200.0), (0.0, -1.0))), ValueError),
+        (dict(series=()), ValueError),
     ], ids=["gamma_eff_zero", "gamma_eff_negative", "n_bar_negative", "alpha_sq_negative",
-            "probe_detuning", "sweep_detuning"])
+            "probe_detuning", "sweep_detuning", "series_alpha_sq_negative",
+            "series_empty"])
     def test_refused_when_built(self, kw, error):
         # the rules of the operating point and of the linear regime hold for
         # every series, so they are checked before any series is made
@@ -239,7 +242,7 @@ class TestCampaign:
 
     def test_series_detunings_applied(self):
         kappa = OpticalCavity().kappa
-        cfg = self.small_cfg(series_probe_detunings=(0.0, 0.05 * kappa))
+        cfg = self.small_cfg(series=((0.0, 1200.0), (0.05 * kappa, 1200.0)))
         datasets = [run_series(cfg, s) for s in range(2)]
         assert datasets[0].config.cavity.probe_detuning == 0.0
         assert datasets[1].config.cavity.probe_detuning == pytest.approx(0.05 * kappa)
@@ -296,7 +299,7 @@ class TestCampaign:
             assert np.array_equal(ra.y_quad.samples, rb.y_quad.samples)
 
     def test_excitation_sweep_changes_amplitude(self):
-        cfg = self.small_cfg(alpha_sq_per_series=(400.0, 1600.0))
+        cfg = self.small_cfg(series=((0.0, 400.0), (0.0, 1600.0)))
         datasets = [run_series(cfg, s) for s in range(2)]
         for s, ds in enumerate(datasets):
             want = average_records(self.cycles(cfg, s))
@@ -366,7 +369,7 @@ class TestCycleCache:
 
     def test_each_series_builds_its_own_template(self):
         cfg = self.cfg(schedule=ProtocolSchedule(group_size=1).with_duration(0.12),
-                       series_probe_detunings=(0.0, TWO_PI * 30e3))
+                       series=((0.0, 1200.0), (TWO_PI * 30e3, 1200.0)))
         clear_cycle_caches()
         datasets = [run_series(cfg, s) for s in range(2)]
         assert gupsim.protocol._cycle_template.cache_info().misses == 2

@@ -95,6 +95,8 @@ RETIRED = [
     ("operating", "excitation_phase_rad", 0.0, 0.5),
     ("detection", "detuning_correction", [1.0, 1.0], [5.0 / 6.0, 1.0]),
     ("detection", "lockin_ref_hz", 521800.0, 522800.0),
+    (None, "series_probe_detunings_hz", None, [0.0]),
+    (None, "alpha_sq_per_series", None, [1200.0]),
 ]
 
 
@@ -114,7 +116,7 @@ class TestConfigRoundTrip:
             schedule=ProtocolSchedule(pump_on=0.02, measure=0.005, cycles_per_series=100,
                                       group_size=5, pre_roll=0.001),
             n_bar=3.0, gamma_eff=TWO_PI * 5000.0, alpha_sq=100.0, seed=7,
-            series_probe_detunings=(0.0, TWO_PI * 1e3), alpha_sq_per_series=(100.0, 400.0),
+            series=((0.0, 100.0), (TWO_PI * 1e3, 400.0)),
             shift_injection=(500.0, 1e-5), switch_burst=False)
         for obj in (cfg, cfg.mode, cfg.cavity, cfg.deformation, cfg.detection,
                     cfg.schedule):
@@ -161,9 +163,20 @@ class TestConfigRoundTrip:
                                       GOLDEN / "thermometry_config.json"],
                              ids=["shipped", "golden_analyze", "golden_thermometry"])
     def test_shipped_config_is_canonical(self, tmp_path, path):
-        # a setting the program no longer reads cannot linger in the file
+        # a setting the program no longer reads cannot linger in the file. The
+        # golden configs predate `series`: they hold the two sweeps it replaced,
+        # as null, and a config_hash over them; they are left so, to show that
+        # such configs still load, and are otherwise as the program writes them
         save_config(load_config(path), tmp_path / "c.json")
-        assert (tmp_path / "c.json").read_bytes() == path.read_bytes()
+        want = path.read_text()
+        if path.parent == GOLDEN:
+            d = json.loads(want)
+            for key in ("series_probe_detunings_hz", "alpha_sq_per_series"):
+                assert d.pop(key) is None
+            d["series"] = None
+            d["config_hash"] = config_hash(d)
+            want = json.dumps(d, sort_keys=True, indent=2) + "\n"
+        assert (tmp_path / "c.json").read_text() == want
 
     @pytest.mark.parametrize("store_raw", [None, False])
     def test_store_raw_false_loads(self, store_raw):
@@ -224,15 +237,17 @@ class TestConfigRoundTrip:
         ("operating", "alpha_sq", None),
         ("detection", "lockin_bandwidth_hz", [20000.0]),
         ("schedule", "measure_s", False),
-        (None, "alpha_sq_per_series", ["1200"]),
-        (None, "alpha_sq_per_series", 1200.0),
-        (None, "series_probe_detunings_hz", [0.0, True]),
+        (None, "series", [{"probe_detuning_hz": 0.0, "alpha_sq": "1200"}]),
+        (None, "series", 1200.0),
+        (None, "series", [{"probe_detuning_hz": True, "alpha_sq": 1200.0}]),
+        (None, "series", [1200.0]),
         (None, "shift_injection", {"delta0_hz": "300.0", "tau_s": 5e-5}),
     ], ids=["filter_order_float", "decimation_float", "cycles_float", "group_size_float",
             "group_size_bool", "seed_float", "seed_negative", "switch_burst_string",
             "switch_burst_int", "seed_option_negative", "series_option_zero",
             "mass_string", "alpha_sq_null", "bandwidth_list", "measure_bool",
-            "sweep_entry_string", "sweep_not_list", "sweep_entry_bool", "injection_string"])
+            "sweep_entry_string", "sweep_not_list", "sweep_entry_bool",
+            "series_entry_not_object", "injection_string"])
     def test_wrong_type_refused(self, tmp_path, capsys, section, key, value):
         # refused with the key named before anything is written, not misread
         d = config_to_dict(small_config(schedule=ProtocolSchedule(group_size=2)
@@ -251,11 +266,13 @@ class TestConfigRoundTrip:
         assert (f"{section}.{key}" if section else key.lstrip("-")) in err["message"]
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, field", [
-        ("series_probe_detunings_hz", "series_probe_detunings"),
-        ("alpha_sq_per_series", "alpha_sq_per_series")], ids=["detunings", "alpha_sq"])
-    def test_empty_sweep_refused(self, tmp_path, capsys, key, field):
-        # a sweep of no values has no value for series 0
+    @pytest.mark.parametrize("key, message", [
+        ("series_probe_detunings_hz", "series_probe_detunings_hz [] is retired"),
+        ("alpha_sq_per_series", "alpha_sq_per_series [] is retired"),
+        ("series", "series is empty")], ids=["detunings", "alpha_sq", "series"])
+    def test_empty_sweep_refused(self, tmp_path, capsys, key, message):
+        # a list of no entries has none for series 0; the two older sweeps
+        # are refused for any value but null
         d = config_to_dict(small_config())
         d[key] = []
         (tmp_path / "c.json").write_text(json.dumps(d))
@@ -264,20 +281,58 @@ class TestConfigRoundTrip:
                      "--out", str(out)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
-        assert err["message"].startswith(f"{field} is empty")
+        assert err["message"].startswith(message)
         assert not out.exists()
 
     def test_negative_sweep_entry_refused(self, tmp_path, capsys):
         # refused with the entry named before series 0 is written
         d = config_to_dict(small_config())
-        d["alpha_sq_per_series"] = [1200.0, -1.0]
+        d["series"] = [{"probe_detuning_hz": 0.0, "alpha_sq": 1200.0},
+                       {"probe_detuning_hz": 0.0, "alpha_sq": -1.0}]
         (tmp_path / "c.json").write_text(json.dumps(d))
         out = tmp_path / "o"
         assert main(["simulate", "--config", str(tmp_path / "c.json"),
                      "--out", str(out), "--series", "2"]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError"
-        assert err["message"].startswith("alpha_sq_per_series[1] must be >= 0")
+        assert err["message"] == "series[1]: alpha_sq must be >= 0, got -1.0"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry, error, message", [
+        ({"probe_detuning_hz": 500000.0, "alpha_sq": 1200.0}, "OutsideLinearRegime",
+         "series[1]: |detuning|="),
+        ({"probe_detuning_hz": 0.0}, "KeyError", "'alpha_sq'"),
+        ({"probe_detuning_hz": 0.0, "alpha_sq": math.nan}, "ValueError",
+         "config key series[1].alpha_sq is not finite"),
+    ], ids=["outside_linear_regime", "missing_alpha_sq", "not_finite"])
+    def test_series_entry_refused(self, tmp_path, capsys, entry, error, message):
+        # series 1's entry is refused before series 0 or a snapshot is written
+        d = config_to_dict(small_config())
+        d["series"] = [{"probe_detuning_hz": 0.0, "alpha_sq": 1200.0}, entry]
+        (tmp_path / "c.json").write_text(json.dumps(d))     # NaN as NaN
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out), "--series", "2"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == error
+        assert err["message"].startswith(message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("series_probe_detunings_hz", [0.0, 30000.0]),
+        ("alpha_sq_per_series", [1200.0, 4800.0])], ids=["detunings", "alpha_sq"])
+    def test_older_sweep_refused(self, tmp_path, capsys, key, value):
+        # a config written before `series` is refused, not run without its sweep
+        d = config_to_dict(small_config())
+        d[key] = value
+        (tmp_path / "c.json").write_text(json.dumps(d))
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", str(tmp_path / "c.json"),
+                     "--out", str(out), "--series", "2"]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError"
+        assert err["message"] == (f"{key} {value!r} is retired: set each series in "
+                                  "series; only null is")
         assert not out.exists()
 
     @pytest.mark.parametrize("section, key, value, error", [
@@ -286,7 +341,9 @@ class TestConfigRoundTrip:
         ("detection", "background_psd", -1e-5, "ValueError"),
         ("detection", "lockin_bandwidth_hz", 0, "ValueError"),
         ("detection", "lockin_filter_order", 0, "ValueError"),
-        (None, "series_probe_detunings_hz", [0.0, 500000.0], "OutsideLinearRegime"),
+        (None, "series", [{"probe_detuning_hz": 0.0, "alpha_sq": 1200.0},
+                          {"probe_detuning_hz": 500000.0, "alpha_sq": 1200.0}],
+         "OutsideLinearRegime"),
     ], ids=["gamma_eff_negative", "gamma_eff_zero", "background_negative",
             "bandwidth_zero", "filter_order_zero", "sweep_outside_linear_regime"])
     def test_unusable_config_refused(self, tmp_path, capsys, section, key, value, error):
@@ -480,7 +537,7 @@ class TestRecordIO:
     def test_dataset_round_trip(self, tmp_path, monkeypatch, use_cpus):
         # 5 cycles in groups of 2: two group averages, and cycle 4 on disk alone
         cfg = small_config(schedule=ProtocolSchedule(group_size=2).with_duration(0.2),
-                           series_probe_detunings=(0.0, TWO_PI * 30e3))
+                           series=((0.0, 1200.0), (TWO_PI * 30e3, 1200.0)))
         scfg = cfg.series_variant(1)
         assert save_dataset(cfg, 1, tmp_path / "d") == scfg
         assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [
@@ -645,7 +702,7 @@ class TestCli:
     def test_bound_refuses_amplitude_sweep(self, tmp_path, capsys):
         # two |alpha|^2 give two operating points, and the pooled shifts map to neither
         cfg = small_config(schedule=ProtocolSchedule(group_size=5).with_duration(0.4),
-                           alpha_sq_per_series=(1200.0, 4800.0))
+                           series=((0.0, 1200.0), (0.0, 4800.0)))
         save_config(cfg, tmp_path / "c.json")
         out = tmp_path / "out"
         assert main(["simulate", "--config", str(tmp_path / "c.json"),
@@ -1021,7 +1078,7 @@ class TestWorkers:
         return small_config(schedule=ProtocolSchedule().with_duration(0.4), **kw)
 
     def test_tree_independent_of_worker_count(self, tmp_path, use_cpus):
-        cfg = self.cfg(series_probe_detunings=(0.0, TWO_PI * 30e3),
+        cfg = self.cfg(series=((0.0, 1200.0), (TWO_PI * 30e3, 1200.0)),
                        shift_injection=(300.0, 2e-5))
         save_config(cfg, tmp_path / "c.json")
         digests = []
@@ -1036,7 +1093,7 @@ class TestWorkers:
 
     def test_run_series_equals_run_cycle(self, monkeypatch, use_cpus):
         # 10 cycles in groups of 4: two group averages, and cycles 8 and 9 not made
-        cfg = self.cfg(series_probe_detunings=(0.0, TWO_PI * 30e3),
+        cfg = self.cfg(series=((0.0, 1200.0), (TWO_PI * 30e3, 1200.0)),
                        shift_injection=(300.0, 2e-5))
         cfg = dataclasses.replace(cfg, schedule=dataclasses.replace(cfg.schedule,
                                                                     group_size=4))
