@@ -365,7 +365,10 @@ def main(argv=None) -> int:
         return _fail("ArgumentError", str(exc), code=2)
     except (GupsimError, BrokenProcessPool) as exc:
         return _fail(type(exc).__name__, str(exc))
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except KeyError as exc:
+        # str() of a KeyError is the repr of its argument; report the argument
+        return _fail("KeyError", str(exc.args[0]) if exc.args else "")
+    except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(type(exc).__name__, str(exc))
 
 

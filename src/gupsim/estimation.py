@@ -52,12 +52,7 @@ MAX_EPSILON = 0.1                       # largest eps_max a bound accepts
 def ringdown_model(t, A, tau, f_m, phi, B, dphi,
                    f_lower=8000.0, f_upper=16000.0):
     """Evaluate the two-line decay model; returns (X, Y)."""
-    return _decay_model(t, A, 1.0 / tau, f_m, phi, B, dphi, f_lower, f_upper)
-
-
-def _decay_model(t, A, rate, f_m, phi, B, dphi, f_lower, f_upper):
-    """The two-line model with the envelope decay rate 1/tau as parameter."""
-    env = A * np.exp(-t * rate)
+    env = A * np.exp(-t * (1.0 / tau))
     th1 = TWO_PI * t * (f_lower - f_m) + phi
     th2 = TWO_PI * t * (f_upper + f_m) + phi + dphi
     X = env * (np.cos(th1) + B * np.cos(th2))
@@ -110,45 +105,21 @@ class RingdownFit:
                               self.B, self.delta_phi, self.f_lower, self.f_upper)
 
 
-def _ringdown_residual_jacobian(t, x_data, y_data, f_lower, f_upper):
-    """Builders for the stacked residual/Jacobian of the joint quadrature fit.
+def _ringdown_jacobian(t, A, k, f_m, phi, B, dphi, f_lower, f_upper):
+    """Jacobian of the model in (A, 1/tau, f_m, phi, B, dphi) at one point.
 
-    The fitted envelope parameter is the decay rate k = 1/tau, not tau. An
-    undamped record (k = 0) is then an ordinary point that the fit can cross.
-    In tau it is the asymptote |tau| -> inf, where the tau column of the
-    Jacobian vanishes and a fit can stall short of the optimum.
+    In z = X + iY the model is m = A (u1 + B u2), with the lines
+    u1 = exp(-k t + i(w1 t + phi)) and u2 = exp(-k t - i(w2 t + phi + dphi)),
+    k = 1/tau. The fit works in k rather than tau, so that an undamped record
+    (k = 0) is an ordinary point and not the asymptote |tau| -> inf. The rows
+    interleave X and Y.
     """
-
-    def residual(theta):
-        X, Y = _decay_model(t, *theta, f_lower, f_upper)
-        return np.concatenate([X - x_data, Y - y_data])
-
-    def jacobian(theta):
-        A, k, f_m, phi, B, dphi = theta
-        env = np.exp(-t * k)
-        th1 = TWO_PI * t * (f_lower - f_m) + phi
-        th2 = TWO_PI * t * (f_upper + f_m) + phi + dphi
-        c1, s1 = np.cos(th1), np.sin(th1)
-        c2, s2 = np.cos(th2), np.sin(th2)
-        X = A * env * (c1 + B * c2)
-        Y = A * env * (s1 - B * s2)
-        n = t.size
-        J = np.empty((2 * n, 6))
-        J[:n, 0] = env * (c1 + B * c2)
-        J[n:, 0] = env * (s1 - B * s2)
-        J[:n, 1] = -t * X
-        J[n:, 1] = -t * Y
-        J[:n, 2] = TWO_PI * t * Y
-        J[n:, 2] = -TWO_PI * t * X
-        J[:n, 3] = A * env * (-s1 - B * s2)
-        J[n:, 3] = A * env * (c1 - B * c2)
-        J[:n, 4] = A * env * c2
-        J[n:, 4] = -A * env * s2
-        J[:n, 5] = -A * env * B * s2
-        J[n:, 5] = -A * env * B * c2
-        return J
-
-    return residual, jacobian
+    u1 = np.exp(t * complex(-k, TWO_PI * (f_lower - f_m)) + 1j * phi)
+    u2 = np.exp(t * complex(-k, -TWO_PI * (f_upper + f_m)) - 1j * (phi + dphi))
+    m = A * (u1 + B * u2)
+    J = np.array([u1 + B * u2, -t * m, (-TWO_PI * 1j) * t * m,
+                  1j * A * (u1 - B * u2), A * u2, -1j * A * B * u2])
+    return J.view(float).T
 
 
 def _projected_residual_jacobian(t, x_data, y_data, f_lower, f_upper):
@@ -230,19 +201,13 @@ def _initial_guess(t, x_data, y_data, f_lower, f_upper):
     slope, _ = np.polyfit(tw, np.log(w), 1)
     rate0 = -0.5 * slope
 
-    win = np.hanning(n)
-    spec = np.fft.fft(z * win)
+    spec = np.abs(np.fft.fft(z * np.hanning(n)))
     freqs = np.fft.fftfreq(n, dt)
-    pos = freqs > 0
-    neg = freqs < 0
-    i1 = np.argmax(np.abs(spec[pos]))
-    i2 = np.argmax(np.abs(spec[neg]))
-    f1 = freqs[pos][i1]
-    f2 = -freqs[neg][i2]
-    a1 = np.abs(spec[pos])[i1]
-    a2 = np.abs(spec[neg])[i2]
-    fm_candidates = np.array([f_lower - f1, f2 - f_upper])
-    weights = np.array([a1, a2])
+    pos, neg = freqs > 0, freqs < 0
+    f_pos, a_pos, f_neg, a_neg = freqs[pos], spec[pos], freqs[neg], spec[neg]
+    i1, i2 = np.argmax(a_pos), np.argmax(a_neg)
+    fm_candidates = np.array([f_lower - f_pos[i1], -f_neg[i2] - f_upper])
+    weights = np.array([a_pos[i1], a_neg[i2]])
     f_m0 = float(np.sum(fm_candidates * weights) / np.sum(weights))
     return rate0, f_m0
 
@@ -256,14 +221,15 @@ def fit_ringdown(rec: QuadratureRecord, window: tuple[float, float] = DEFAULT_BA
     detection chain, and the defaults are those of `DetectionConfig()`.
     Damped Gauss-Newton on (1/tau, f_m) alone, with the line amplitudes
     projected out at every step (`_projected_residual_jacobian`), from an
-    FFT-peak / log-envelope initial guess. Three fallback starts follow, each
-    tried only if the one before fails. (A, phi, B, dphi) come from the
-    amplitudes at the optimum, so A >= 0 and B >= 0. The covariance of all
-    six parameters comes from the six-column Jacobian at the optimum, with
-    the residual variance on 2n - 6 degrees of freedom, and is carried over
-    from 1/tau to tau.
+    FFT-peak / log-envelope initial guess, the one start. (A, phi, B, dphi)
+    come from the amplitudes at the optimum, so A >= 0 and B >= 0. The
+    covariance of all six parameters comes from the Jacobian of the complex
+    two-line form at the optimum (`_ringdown_jacobian`), with the residual
+    variance on 2n - 6 degrees of freedom, and is carried over from 1/tau to
+    tau.
     Raises WindowOutOfRange if the window does not lie inside the record and
-    FitDiverged if the solver fails from every start.
+    FitDiverged if the solver finds no descent step or does not converge
+    within `leastsq.MAX_ITER` iterations.
     """
     t_rec = rec.times
     if window[0] < t_rec[0] - 1e-12 or window[1] > t_rec[-1] + rec.x_quad.dt + 1e-12:
@@ -277,18 +243,9 @@ def fit_ringdown(rec: QuadratureRecord, window: tuple[float, float] = DEFAULT_BA
     rate0, f_m0 = _initial_guess(t, x_data, y_data, f_lower, f_upper)
     residual, jacobian, amplitudes = _projected_residual_jacobian(
         t, x_data, y_data, f_lower, f_upper)
-    last_exc = None
-    # fallback starts: f_m shifted by 1 Hz either way, then no offset
-    for f_m_start in (f_m0, f_m0 + 1.0, f_m0 - 1.0, 0.0):
-        try:
-            res = damped_gauss_newton(residual, jacobian, np.array([rate0, f_m_start]))
-        except FitDiverged as exc:
-            last_exc = exc
-            continue
-        if res.converged:
-            break
-    else:
-        raise last_exc or FitDiverged("ring-down fit did not converge")
+    res = damped_gauss_newton(residual, jacobian, np.array([rate0, f_m0]))
+    if not res.converged:
+        raise FitDiverged(f"ring-down fit did not converge in {res.iterations} iterations")
 
     k, f_m = res.params
     alpha, beta = amplitudes(res.params)
@@ -296,8 +253,7 @@ def fit_ringdown(rec: QuadratureRecord, window: tuple[float, float] = DEFAULT_BA
     phi = cmath.phase(alpha)
     B = abs(beta) / A if A > 0 else 0.0
     dphi = (-cmath.phase(beta) - phi + math.pi) % TWO_PI - math.pi
-    _, jacobian6 = _ringdown_residual_jacobian(t, x_data, y_data, f_lower, f_upper)
-    J = jacobian6(np.array([A, k, f_m, phi, B, dphi]))
+    J = _ringdown_jacobian(t, A, k, f_m, phi, B, dphi, f_lower, f_upper)
     sigma2 = 2.0 * res.cost / max(J.shape[0] - J.shape[1], 1)
     try:
         cov = sigma2 * np.linalg.inv(J.T @ J)

@@ -150,7 +150,7 @@ def _check_retired(d: dict, det: DetectionConfig):
             ("series_probe_detunings_hz", None, "is retired: set each series in series"),
             ("alpha_sq_per_series", None, "is retired: set each series in series")):
         *section, name = key.split(".")
-        held = d.get(section[0], {}) if section else d
+        held = _section(d, section[0]) if section else d
         # a lockin_ref_hz written as f_exc - 4000 can differ from this in its last bit
         if name in held and held[name] != value and not (
                 isinstance(value, float) and isinstance(held[name], (int, float))
@@ -161,11 +161,23 @@ def _check_retired(d: dict, det: DetectionConfig):
 _NUMBER = (int, float)
 
 
+def _section(d: dict, name: str) -> dict:
+    """The JSON object `d[name]`, {} if there is none; ValueError for any other value."""
+    held = d.get(name, {})
+    if not isinstance(held, dict):
+        raise ValueError(f"key {name} must be a JSON object, got {held!r}")
+    return held
+
+
 def _typed(d: dict, key: str, kinds: tuple[type, ...] = _NUMBER):
-    """The value at the dotted `key`; ValueError unless its type is one of `kinds`
-    (a bool is neither an int nor a float)."""
+    """The value at the dotted `key`; KeyError naming `key` if it is missing,
+    ValueError if its section is not a JSON object or its type is not one of
+    `kinds` (a bool is neither an int nor a float)."""
     *section, name = key.split(".")
-    value = (d[section[0]] if section else d)[name]
+    held = _section(d, section[0]) if section else d
+    if name not in held:
+        raise KeyError(f"key {key} is missing")
+    value = held[name]
     if type(value) not in kinds:
         names = " or ".join(k.__name__ for k in kinds)
         raise ValueError(f"key {key} must be a JSON {names}, got {value!r}")
@@ -176,7 +188,6 @@ def _series_entry(i: int, entry) -> tuple[float, float]:
     """(probe detuning in rad/s, alpha_sq) of the JSON entry `series[i]`, read through
     `_typed` under the key `series[i]`, so that an error names the entry."""
     d = {f"series[{i}]": entry}
-    _typed(d, f"series[{i}]", (dict,))
     return (TWO_PI * _typed(d, f"series[{i}].probe_detuning_hz"),
             _typed(d, f"series[{i}].alpha_sq"))
 

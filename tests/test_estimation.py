@@ -20,7 +20,7 @@ from gupsim.estimation import (
     DEFAULT_BASE_WINDOW,
     ShiftFit,
     ShiftStatistics,
-    _ringdown_residual_jacobian,
+    _ringdown_jacobian,
     aggregate_shifts,
     beta_bound,
     fit_ringdown,
@@ -28,6 +28,7 @@ from gupsim.estimation import (
     ringdown_model,
     width_vs_shift_scan,
 )
+import gupsim.leastsq as leastsq
 from gupsim.leastsq import damped_gauss_newton
 from gupsim.optomech import CooledState
 
@@ -57,6 +58,18 @@ def make_shifted_record(A, tau, f_m, phi, B, dphi, delta0, tau_s):
     X = env * (np.cos(th1) + B * np.cos(th2))
     Y = env * (np.sin(th1) - B * np.sin(th2))
     return QuadratureRecord(TimeSeries(0.0, DT, X), TimeSeries(0.0, DT, Y))
+
+
+RINGDOWN_CASES = [(5.0, 300e-6, 3.0, 0.8, 0.9, -0.5),
+                  (1.0, -300e-6, 10.0, 0.4, 0.8, 0.2),
+                  (3.0, 400e-6, 12.0, 1.0, 0.0, 0.0)]
+RINGDOWN_IDS = ["damped", "anti_damped", "single_tone"]
+
+
+def real_form(t, theta):
+    """`ringdown_model` at theta = (A, 1/tau, f_m, phi, B, dphi), as X + iY."""
+    X, Y = ringdown_model(t, theta[0], 1.0 / theta[1], *theta[2:])
+    return X + 1j * Y
 
 
 class TestFitRingdown:
@@ -137,25 +150,49 @@ class TestFitRingdown:
         # normalized errors should be ~ unit scatter
         assert 0.5 < np.std(draws) < 2.0
 
-    @pytest.mark.parametrize("params", [
-        (5.0, 300e-6, 3.0, 0.8, 0.9, -0.5),
-        (1.0, -300e-6, 10.0, 0.4, 0.8, 0.2),
-        (3.0, 400e-6, 12.0, 1.0, 0.0, 0.0),
-    ], ids=["damped", "anti_damped", "single_tone"])
+    def test_not_converged_raises(self, monkeypatch):
+        # a fit still moving when the solver runs out of iterations is refused,
+        # with the count named
+        monkeypatch.setattr(leastsq, "MAX_ITER", 2)
+        rec = make_record(5.0, 300e-6, 3.0, 0.8, 0.9, -0.5,
+                          noise=0.05, rng=np.random.default_rng(28))
+        with pytest.raises(FitDiverged, match="did not converge in 2 iterations"):
+            fit_ringdown(rec)
+
+    @pytest.mark.parametrize("params", RINGDOWN_CASES, ids=RINGDOWN_IDS)
+    def test_ringdown_jacobian_is_the_model_derivative(self, params):
+        # each column of the complex-form Jacobian matches central differences
+        # of the real model in (A, 1/tau, f_m, phi, B, dphi)
+        t = T[T <= DEFAULT_BASE_WINDOW[1]]
+        A, tau, f_m, phi, B, dphi = params
+        theta = np.array([A, 1.0 / tau, f_m, phi, B, dphi])
+        J = _ringdown_jacobian(t, *theta, 8000.0, 16000.0)
+        for j in range(theta.size):
+            h = 1e-6 * max(abs(theta[j]), 1.0)
+            step = np.zeros(theta.size)
+            step[j] = h
+            numeric = ((real_form(t, theta + step) - real_form(t, theta - step))
+                       / (2.0 * h)).view(float)
+            np.testing.assert_allclose(J[:, j], numeric, rtol=0,
+                                       atol=1e-6 * np.max(np.abs(J[:, j])))
+
+    @pytest.mark.parametrize("params", RINGDOWN_CASES, ids=RINGDOWN_IDS)
     def test_projected_fit_is_the_six_parameter_optimum(self, params):
         # the fit solves (1/tau, f_m) with the amplitudes projected out; the
-        # six-parameter solver, started at its result, moves no parameter by
-        # more than 1e-6 of its standard error
+        # six-parameter solver on the real model, started at its result, moves
+        # no parameter by more than 1e-6 of its standard error
         rng = np.random.default_rng(26)
         for _ in range(5):
             rec = make_record(*params, noise=0.05, rng=rng)
             fit = fit_ringdown(rec)
             sub = rec.window(*DEFAULT_BASE_WINDOW)
-            residual, jacobian = _ringdown_residual_jacobian(
-                sub.times, sub.x_quad.samples, sub.y_quad.samples, 8000.0, 16000.0)
+            t = sub.times
+            z = sub.x_quad.samples + 1j * sub.y_quad.samples
             theta = np.array([fit.A, 1.0 / fit.tau, fit.f_m, fit.phi, fit.B,
                               fit.delta_phi])
-            res = damped_gauss_newton(residual, jacobian, theta)
+            res = damped_gauss_newton(
+                lambda th: (real_form(t, th) - z).view(float),
+                lambda th: _ringdown_jacobian(t, *th, 8000.0, 16000.0), theta)
             assert res.converged
             se = np.sqrt(np.diag(res.covariance))
             assert np.max(np.abs(res.params - theta) / se) <= 1e-6

@@ -242,12 +242,16 @@ class TestConfigRoundTrip:
         (None, "series", [{"probe_detuning_hz": True, "alpha_sq": 1200.0}]),
         (None, "series", [1200.0]),
         (None, "shift_injection", {"delta0_hz": "300.0", "tau_s": 5e-5}),
+        (None, "mode", 5),
+        (None, "operating", 5),
+        (None, "schedule", []),
     ], ids=["filter_order_float", "decimation_float", "cycles_float", "group_size_float",
             "group_size_bool", "seed_float", "seed_negative", "switch_burst_string",
             "switch_burst_int", "seed_option_negative", "series_option_zero",
             "mass_string", "alpha_sq_null", "bandwidth_list", "measure_bool",
             "sweep_entry_string", "sweep_not_list", "sweep_entry_bool",
-            "series_entry_not_object", "injection_string"])
+            "series_entry_not_object", "injection_string", "mode_not_object",
+            "operating_not_object", "schedule_not_object"])
     def test_wrong_type_refused(self, tmp_path, capsys, section, key, value):
         # refused with the key named before anything is written, not misread
         d = config_to_dict(small_config(schedule=ProtocolSchedule(group_size=2)
@@ -301,7 +305,7 @@ class TestConfigRoundTrip:
     @pytest.mark.parametrize("entry, error, message", [
         ({"probe_detuning_hz": 500000.0, "alpha_sq": 1200.0}, "OutsideLinearRegime",
          "series[1]: |detuning|="),
-        ({"probe_detuning_hz": 0.0}, "KeyError", "'alpha_sq'"),
+        ({"probe_detuning_hz": 0.0}, "KeyError", "key series[1].alpha_sq is missing"),
         ({"probe_detuning_hz": 0.0, "alpha_sq": math.nan}, "ValueError",
          "config key series[1].alpha_sq is not finite"),
     ], ids=["outside_linear_regime", "missing_alpha_sq", "not_finite"])
@@ -668,21 +672,22 @@ class TestCli:
 
     @pytest.mark.parametrize("section, key, value", [
         ("operating", "alpha_sq", "1200"), ("shift_x", "n", "2"), ("shift_x", "n", 2.0),
-        ("operating", "n_bar", None), ("shift_x", "mean_hz", None),
-    ], ids=["alpha_sq_string", "n_string", "n_float", "n_bar_null", "mean_null"])
+        ("operating", "n_bar", None), ("shift_x", "mean_hz", None), (None, "operating", 5),
+    ], ids=["alpha_sq_string", "n_string", "n_float", "n_bar_null", "mean_null",
+            "operating_not_object"])
     def test_bound_refuses_mistyped_report(self, campaign_dir, tmp_path, capsys,
                                            section, key, value):
         out = campaign_dir / "out"
         assert main(["analyze", "--in", str(out)]) == 0
         report = json.loads((out / "analysis.report").read_text())
-        report[section][key] = value
+        (report[section] if section else report)[key] = value
         (tmp_path / "analysis.report").write_text(json.dumps(report))
         capsys.readouterr()
         assert main(["bound", "--summary", str(tmp_path / "analysis.report")]) == 1
         captured = capsys.readouterr()
         err = json.loads(captured.err)
         assert err["error"] == "ValueError"
-        assert f"{section}.{key}" in err["message"]
+        assert (f"{section}.{key}" if section else key) in err["message"]
         assert "config key" not in err["message"]
         assert captured.out == ""
 
